@@ -67,10 +67,11 @@ bench-baseline:
 incr:
 	$(GO) run ./cmd/wasai-bench -exp incr
 
-# Decoded-IR engine gate: campaign digests must be byte-identical with the
-# fast VM off and on at 1/4/8 workers, and the direct-threaded engine must
-# retire ≥2x the instructions/sec of the tree-walker on the hot workload
-# with full result/fuel agreement (exit status is the assertion).
+# Decoded-IR engine gate: campaign digests at 1/4/8 workers must equal the
+# pinned references the tree-walking interpreter produced, and the
+# direct-threaded engine must retire ≥2x the instructions/sec of the
+# tree-walker on the hot workload with full result/fuel agreement (exit
+# status is the assertion).
 fastvm:
 	$(GO) run ./cmd/wasai-bench -exp fastvm
 

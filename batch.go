@@ -229,7 +229,6 @@ func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
 		Memo:             mode,
 		MemoCache:        memoCache,
 		Incremental:      cfg.Incremental,
-		FastVM:           cfg.FastVM,
 		Adaptive:         cfg.Adaptive,
 		SaturationWindow: cfg.SaturationWindow,
 	}
@@ -357,7 +356,6 @@ func (c *Campaign) Submit(job BatchJob) error {
 			Seed:             seed,
 			CustomDetectors:  customs,
 			Incremental:      jcfg.Incremental,
-			FastVM:           jcfg.FastVM,
 			Adaptive:         jcfg.Adaptive,
 			SaturationWindow: jcfg.SaturationWindow,
 		},

@@ -50,8 +50,11 @@
 // least as many branches and score at least as many ground-truth findings
 // as the static round-robin on every corpus, strictly more coverage on at
 // least one, with digest identity at workers 1/4/8 and across a journal
-// kill+resume. -exp regress
-// runs the fixed benchmark workload (wall-clock is the median of three
+// kill+resume. -exp fastvm runs the execution-engine gate: campaign
+// digests at worker counts 1/4/8 must equal the pinned tree-walker
+// references, and the decoded-IR engine must retire ≥2x the instructions/s
+// of the tree-walker on a hot module. -exp regress runs the fixed
+// benchmark workload (wall-clock is the median of three
 // legs; solver counters are single-leg exact), writes a BENCH_<date>.json
 // record (-out overrides the path) and compares it against the committed
 // baseline (-baseline, default BENCH_BASELINE.json), failing on digest
@@ -107,7 +110,6 @@ func run() error {
 		outPath   = flag.String("out", "", "regress: where to write the fresh record (default BENCH_<date>.json)")
 		writeBase = flag.Bool("write-baseline", false, "regress: (re)write -baseline from this run instead of comparing")
 		incr      = flag.Bool("incremental", false, "incremental prefix-sharing solver for flip queries; findings are identical either way")
-		fastvm    = flag.Bool("fastvm", false, "decoded-IR execution engine; findings are identical either way")
 		verdicts  = flag.Bool("verdicts", false, "abstract-interpretation verdict triage; findings are identical either way")
 		adaptive  = flag.Bool("adaptive", false, "coverage-driven power schedule + campaign fuel ledger; deterministic at any worker count but NOT digest-neutral vs a static run")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
@@ -154,7 +156,6 @@ func run() error {
 	evalCfg.Workers = *workers
 	evalCfg.Memo = memoMode
 	evalCfg.Incremental = *incr
-	evalCfg.FastVM = *fastvm
 	evalCfg.Verdicts = *verdicts
 	evalCfg.Adaptive = *adaptive
 	tools := []bench.Tool{bench.ToolWASAI, bench.ToolEOSFuzzer, bench.ToolEOSAFE}
@@ -179,7 +180,6 @@ func run() error {
 			cfg.Workers = *workers
 			cfg.Memo = memoMode
 			cfg.Incremental = *incr
-			cfg.FastVM = *fastvm
 			cfg.Verdicts = *verdicts
 			cfg.Adaptive = *adaptive
 			cfg.NumContracts = int(float64(cfg.NumContracts) * *scale)
@@ -266,7 +266,6 @@ func run() error {
 			tcfg.Workers = *workers
 			tcfg.Memo = memoMode
 			tcfg.Incremental = *incr
-			tcfg.FastVM = *fastvm
 			tcfg.Verdicts = *verdicts
 			res, err := bench.EvaluateTriage(context.Background(), ds, tcfg)
 			if err != nil {
@@ -289,7 +288,6 @@ func run() error {
 			cfg.MaxAttempts = *retries
 			cfg.Memo = memoMode
 			cfg.Incremental = *incr
-			cfg.FastVM = *fastvm
 			cfg.Verdicts = *verdicts
 			cfg.Adaptive = *adaptive
 			cfg.NumContracts = int(float64(cfg.NumContracts) * *scale)
@@ -348,7 +346,7 @@ func run() error {
 		}
 	}
 	if *exp == "fastvm" {
-		if err := runExp("FastVM (decoded-IR engine differential)", func() error {
+		if err := runExp("FastVM (decoded-IR engine against the tree-walker)", func() error {
 			cfg := bench.DefaultFastVMConfig()
 			cfg.Seed = *seed
 			cfg.FuzzIterations = *iters
@@ -358,7 +356,7 @@ func run() error {
 			}
 			fmt.Print(bench.RenderFastVM(res))
 			if !res.Passed() {
-				return fmt.Errorf("fastvm experiment failed: digests identical=%v, agreement=%v, speedup %.2fx (need >=2x)",
+				return fmt.Errorf("fastvm experiment failed: reference digests=%v, agreement=%v, speedup %.2fx (need >=2x)",
 					res.DigestMatch, res.Throughput.ResultsMatch, res.Throughput.Speedup())
 			}
 			return nil

@@ -37,7 +37,6 @@ func run() error {
 		memoMode   = flag.String("memo", "", "solver memoization: off|on|shared (empty = off); findings are identical either way")
 		storeDir   = flag.String("store", "", "disk-backed memo store directory shared across runs (implies memoization); findings are identical either way")
 		incr       = flag.Bool("incremental", false, "incremental prefix-sharing solver for flip queries; findings are identical either way")
-		fastvm     = flag.Bool("fastvm", false, "decoded-IR execution engine; findings are identical either way")
 		verdicts   = flag.Bool("verdicts", false, "print per-class static verdicts and skip fuzzing when all classes are proven negative; findings are identical either way")
 		adaptive   = flag.Bool("adaptive", false, "coverage-driven power schedule: energy-weighted payload/action/seed selection and DBG-aware sequence mutation")
 		satWindow  = flag.Int("saturation-window", 0, "adaptive: stop after this many iterations without new coverage (0 = engine default)")
@@ -51,7 +50,6 @@ func run() error {
 	cfg.Memo = *memoMode
 	cfg.StoreDir = *storeDir
 	cfg.Incremental = *incr
-	cfg.FastVM = *fastvm
 	cfg.Verdicts = *verdicts
 	cfg.Adaptive = *adaptive
 	cfg.SaturationWindow = *satWindow

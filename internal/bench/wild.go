@@ -32,8 +32,6 @@ type WildConfig struct {
 	// Incremental enables the prefix-sharing incremental solver
 	// (findings are identical either way).
 	Incremental bool
-	// FastVM runs each campaign chain on the decoded-IR execution engine.
-	FastVM bool
 	// Verdicts enables abstract-interpretation verdict triage: jobs with
 	// all classes proven negative skip execution, proven-positive jobs
 	// schedule confirmed-first (findings are identical either way).
@@ -104,7 +102,6 @@ func EvaluateWild(cfg WildConfig) (*WildResult, error) {
 		Retry:       campaign.RetryPolicy{MaxAttempts: cfg.MaxAttempts},
 		Memo:        cfg.Memo,
 		Incremental: cfg.Incremental,
-		FastVM:      cfg.FastVM,
 		Verdicts:    cfg.Verdicts,
 		Adaptive:    cfg.Adaptive,
 	}

@@ -35,7 +35,7 @@ import (
 // jobConfig resolves the effective fuzz configuration of one attempt — the
 // per-attempt derivation shared by the streaming engine and the adaptive
 // driver.
-func jobConfig(job Job, attempt int, cc Config, mc *memo.Cache, verdicts *verdictCache) (fuzz.Config, string) {
+func jobConfig(job Job, attempt int, cc Config, mc *memo.Cache) (fuzz.Config, string) {
 	cfg := job.Config
 	if cfg.Seed == 0 {
 		cfg.Seed = cc.BaseSeed + int64(job.ID)
@@ -56,22 +56,10 @@ func jobConfig(job Job, attempt int, cc Config, mc *memo.Cache, verdicts *verdic
 		// faulted attempts so the injector's call count is unchanged.
 		cfg.Incremental = true
 	}
-	if cc.FastVM {
-		cfg.FastVM = true
-	}
 	if cc.Adaptive {
 		cfg.Adaptive = true
 		if cfg.SaturationWindow == 0 {
 			cfg.SaturationWindow = cc.SaturationWindow
-		}
-	}
-	if verdicts != nil && cfg.Static != nil {
-		// A proven-positive job skips the static fuel/solver budget raise:
-		// the positive witness is a concrete run inside the base budget, so
-		// the extra headroom the candidate score would buy cannot be needed
-		// to surface the finding.
-		if rep := verdicts.report(job); rep != nil && rep.AnyPositive() {
-			cfg.Static = nil
 		}
 	}
 	return cfg, mode
@@ -333,7 +321,7 @@ func (a *adaptiveRun) phase1Attempt(ctx context.Context, job Job, attempt int) (
 		defer cancel()
 	}
 	var cfg fuzz.Config
-	cfg, mode = jobConfig(job, attempt, a.cfg, a.memo, a.verdicts)
+	cfg, mode = jobConfig(job, attempt, a.cfg, a.memo)
 	f, err = fuzz.New(job.Module, job.ABI, cfg)
 	if err != nil {
 		return nil, phase, mode, fmt.Errorf("campaign: job %d (%s): %w", job.ID, job.Name, err)
@@ -423,7 +411,7 @@ func (a *adaptiveRun) fullAttempt(ctx context.Context, job Job, attempt, grant i
 		defer cancel()
 	}
 	var cfg fuzz.Config
-	cfg, mode = jobConfig(job, attempt, a.cfg, a.memo, a.verdicts)
+	cfg, mode = jobConfig(job, attempt, a.cfg, a.memo)
 	f, err := fuzz.New(job.Module, job.ABI, cfg)
 	if err != nil {
 		return nil, mode, fmt.Errorf("campaign: job %d (%s): %w", job.ID, job.Name, err)

@@ -83,11 +83,10 @@ type Config struct {
 	// fuzzing. Jobs with all five oracle classes proven negative are
 	// answered with the same synthesized all-clean result a StaticTriage
 	// skip produces; jobs with a proven-positive class are scheduled
-	// confirmed-first and skip the static fuel/solver budget raise. The
-	// engine never changes findings — skips rest on machine-checked
-	// negative proofs, reordering is invisible because seeds derive from
-	// job IDs, and FindingsDigest is byte-identical with verdicts on or
-	// off at any worker count.
+	// confirmed-first. The engine never changes findings — skips rest on
+	// machine-checked negative proofs, reordering is invisible because
+	// seeds derive from job IDs, and FindingsDigest is byte-identical with
+	// verdicts on or off at any worker count.
 	Verdicts bool
 	// Retry re-attempts failed jobs with degraded budgets (see retry.go).
 	// The zero value disables retries.
@@ -124,12 +123,6 @@ type Config struct {
 	// Findings digests are byte-identical on/off at any worker count;
 	// faulted attempts skip the pre-pass just as they skip the memo.
 	Incremental bool
-	// FastVM runs every job's campaign chain on the decoded-IR execution
-	// engine (exec.NewFastVM). Findings digests are byte-identical on/off
-	// at any worker count; unlike Memo, the flag also applies to faulted
-	// attempts — the engines are observably identical, so a fault lands
-	// on the same host call either way.
-	FastVM bool
 	// Adaptive enables the coverage-driven scheduling layer
 	// (internal/schedule) at both levels: every job runs the intra-job
 	// power schedule (fuzz.Config.Adaptive), and Run becomes a two-phase
@@ -388,7 +381,7 @@ func (e *Engine) attempt(job Job, attempt int) (res *fuzz.Result, mode string, e
 		defer cancel()
 	}
 	var cfg fuzz.Config
-	cfg, mode = jobConfig(job, attempt, e.cfg, e.memo, e.verdicts)
+	cfg, mode = jobConfig(job, attempt, e.cfg, e.memo)
 	f, err := fuzz.New(job.Module, job.ABI, cfg)
 	if err != nil {
 		return nil, mode, fmt.Errorf("campaign: job %d (%s): %w", job.ID, job.Name, err)

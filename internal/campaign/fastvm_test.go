@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -10,108 +12,121 @@ import (
 	"repro/internal/memo"
 )
 
-// fastvm_test.go holds the engine-level differential for the decoded-IR
-// execution engine: Config.FastVM may only ever change execution
-// throughput, never digests, and must compose with every other engine
-// layer — memoization, static triage, the incremental solver,
+// fastvm_test.go pins the campaign digests of the decoded-IR execution
+// engine — the only campaign engine — to reference values the tree-walking
+// interpreter produced before the fast engine became unconditional. Each
+// test was an off/on differential; the "off" side is now a pinned
+// constant, so the engine must still reproduce the reference interpreter's
+// findings and campaign state bit for bit, composed with every other
+// engine layer — memoization, static triage, the incremental solver,
 // fault-injected retries, and journal kill+resume.
 
-// fastVMDigests runs the same population with the flag off and on and
-// requires both digest pairs to match.
-func fastVMDigests(t *testing.T, mk func() []Job, cfg Config) (off *Report) {
-	t.Helper()
-	offCfg, onCfg := cfg, cfg
-	offCfg.FastVM = false
-	onCfg.FastVM = true
-	off, err := Run(context.Background(), mk(), offCfg)
-	if err != nil {
-		t.Fatalf("fastvm-off run: %v", err)
+// refDigests is a pair of pinned digests, each the SHA-256 of the
+// corresponding Report digest string.
+type refDigests struct{ findings, state string }
+
+// Tree-walker references (FindingsDigest, StateDigest).
+var (
+	// testJobs(16, 30, 13) at BaseSeed 7, at any worker count and with
+	// memo, triage and the incremental solver layered on.
+	refPopulation = refDigests{
+		"85db27e7f394168a84b809344285660c9a5c2d13bf3edf94ef9546990c6d6602",
+		"b506b66ad45e1723494dafe8f283c031e2acffaceb4cdf80c27406b176f6e441",
 	}
-	on, err := Run(context.Background(), mk(), onCfg)
-	if err != nil {
-		t.Fatalf("fastvm-on run: %v", err)
+	// The same population under Faults{Seed: 99, Rate: 0.2} with three
+	// attempts per job.
+	refChaos = refDigests{
+		"dd1933d25db549b3e7d5ce114402f21d5b86d6163eea851c719b20e43c76c26f",
+		"9f84a40e5a38c597e00ba509bb9d09e5116409f7d5e2817a4414e0c11fc97873",
 	}
-	if got, want := on.FindingsDigest(), off.FindingsDigest(); got != want {
-		t.Errorf("FindingsDigest diverged under -fastvm:\n got: %s\nwant: %s", got, want)
+	// testJobs(12, 30, 21) at BaseSeed 5.
+	refKillResume = refDigests{
+		"596bba01d2bb35c19434fa755c20e943dca77b936e7499587c31e33d8494d021",
+		"c6591284673a33ad217bad04203ddb9c1e54f531d538fc1a5cb95564aa6482e4",
 	}
-	if got, want := on.StateDigest(), off.StateDigest(); got != want {
-		t.Errorf("StateDigest diverged under -fastvm:\n got: %s\nwant: %s", got, want)
-	}
-	return off
+)
+
+func sha256Hex(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
 }
 
-// TestFastVMDigestInvariance is the flag's core contract at every worker
-// count the determinism suite uses, cross-checked against a single
-// reference so worker count and flag state are both witnessed at once.
+// requireReference fails unless both of rep's digests hash to want.
+func requireReference(t *testing.T, rep *Report, want refDigests) {
+	t.Helper()
+	if got := sha256Hex(rep.FindingsDigest()); got != want.findings {
+		t.Errorf("FindingsDigest diverged from the tree-walker reference:\n got: %s\nwant: %s\n%s", got, want.findings, rep.FindingsDigest())
+	}
+	if got := sha256Hex(rep.StateDigest()); got != want.state {
+		t.Errorf("StateDigest diverged from the tree-walker reference:\n got: %s\nwant: %s\n%s", got, want.state, rep.StateDigest())
+	}
+}
+
+// runReference runs the population and requires the pinned digests.
+func runReference(t *testing.T, mk func() []Job, cfg Config, want refDigests) *Report {
+	t.Helper()
+	rep, err := Run(context.Background(), mk(), cfg)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	requireReference(t, rep, want)
+	return rep
+}
+
+// TestFastVMDigestInvariance pins the engine at every worker count the
+// determinism suite uses, so worker count and engine are both witnessed
+// against one reference.
 func TestFastVMDigestInvariance(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 16, 30, 13) }
-	var refFindings, refState string
-	for i, workers := range []int{1, 4, 8} {
+	for _, workers := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			off := fastVMDigests(t, mk, Config{Workers: workers, BaseSeed: 7})
-			if i == 0 {
-				refFindings, refState = off.FindingsDigest(), off.StateDigest()
-				return
-			}
-			if off.FindingsDigest() != refFindings || off.StateDigest() != refState {
-				t.Errorf("digests drifted across worker counts")
-			}
+			runReference(t, mk, Config{Workers: workers, BaseSeed: 7}, refPopulation)
 		})
 	}
 }
 
-// TestFastVMComposesWithMemoTriageIncremental stacks the engine flag on top
-// of cross-job memoization, static triage, and the incremental solver: four
-// layers each promise digest invariance, and this is the witness that the
-// promises hold together, not just one at a time.
+// TestFastVMComposesWithMemoTriageIncremental stacks cross-job
+// memoization, static triage, and the incremental solver on the engine:
+// each layer promises digest invariance, and this is the witness that the
+// promises hold together against the tree-walker's reference.
 func TestFastVMComposesWithMemoTriageIncremental(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 16, 30, 13) }
-	fastVMDigests(t, mk, Config{
+	runReference(t, mk, Config{
 		Workers:      4,
 		BaseSeed:     7,
 		Memo:         memo.ModeOn,
 		StaticTriage: true,
 		Incremental:  true,
-	})
+	}, refPopulation)
 }
 
-// TestFastVMComposesWithChaos injects faults with retries enabled on both
-// sides of the differential. Unlike the memo and the incremental pre-pass,
-// the engine flag stays on during faulted attempts — the engines are
-// observably identical, so the injector's deterministic host-call count
-// lands each fault on the same call either way, and every verdict must be
-// unchanged by the flag.
+// TestFastVMComposesWithChaos injects faults with retries enabled. The
+// engines are observably identical, so the injector's deterministic
+// host-call count lands each fault on the same call the tree-walker's
+// reference run saw, and every verdict must match it.
 func TestFastVMComposesWithChaos(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 16, 30, 13) }
-	off := fastVMDigests(t, mk, Config{
+	rep := runReference(t, mk, Config{
 		Workers:  4,
 		BaseSeed: 7,
 		Faults:   &faultinject.Plan{Seed: 99, Rate: 0.2},
 		Retry:    RetryPolicy{MaxAttempts: 3},
-	})
-	if off.Failed != 0 {
-		t.Fatalf("%d terminal failures at 20%% fault rate with retries", off.Failed)
+	}, refChaos)
+	if rep.Failed != 0 {
+		t.Fatalf("%d terminal failures at 20%% fault rate with retries", rep.Failed)
 	}
 }
 
-// TestFastVMKillResume kills a fast-engine campaign mid-flight and resumes
-// it from the journal: the stitched result must match a fault-free
-// fastvm-off reference bit for bit.
+// TestFastVMKillResume kills a campaign mid-flight and resumes it from the
+// journal: the stitched result must match the tree-walker's fault-free
+// reference bit for bit.
 func TestFastVMKillResume(t *testing.T) {
 	const nJobs = 12
 	mk := func() []Job { return testJobs(t, nJobs, 30, 21) }
-	cfg := Config{Workers: 4, BaseSeed: 5}
-	ref, err := Run(context.Background(), mk(), cfg)
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-
 	journal := filepath.Join(t.TempDir(), "campaign.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	fcfg := cfg
-	fcfg.FastVM = true
-	fcfg.Journal = journal
+	fcfg := Config{Workers: 4, BaseSeed: 5, Journal: journal}
 	e, err := Start(ctx, fcfg)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -148,10 +163,5 @@ func TestFastVMKillResume(t *testing.T) {
 	if rep.Replayed == 0 {
 		t.Fatal("resumed run replayed nothing from the journal")
 	}
-	if got, want := rep.FindingsDigest(), ref.FindingsDigest(); got != want {
-		t.Errorf("FindingsDigest diverged after fastvm kill+resume:\n got: %s\nwant: %s", got, want)
-	}
-	if got, want := rep.StateDigest(), ref.StateDigest(); got != want {
-		t.Errorf("StateDigest diverged after fastvm kill+resume:\n got: %s\nwant: %s", got, want)
-	}
+	requireReference(t, rep, refKillResume)
 }

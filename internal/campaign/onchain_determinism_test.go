@@ -16,8 +16,7 @@ import (
 // ride the same digest-invariance promises as the five trace oracles. The
 // scenario driver replays fixed scripts on fresh held-block chains, so
 // nothing about worker scheduling, memoization, triage, the incremental
-// solver, the fast execution engine, or a journal kill+resume may move a
-// scenario verdict.
+// solver, or a journal kill+resume may move a scenario verdict.
 
 // onchainSpecs is the deterministic spec list behind onchainJobs; job IDs
 // index into it, so runs can be scored against generator ground truth.
@@ -80,7 +79,7 @@ func checkOnchainVerdicts(t *testing.T, rep *Report) {
 
 // TestOnChainOracleDeterminism runs the scenario-class population at 1, 4
 // and 8 workers, plain and with every engine layer stacked (memoization,
-// candidate triage, verdict triage, incremental solver, fast VM), and
+// candidate triage, verdict triage, incremental solver), and
 // requires byte-identical findings digests throughout — plus identical
 // state digests across worker counts of the plain configuration.
 func TestOnChainOracleDeterminism(t *testing.T) {
@@ -109,7 +108,6 @@ func TestOnChainOracleDeterminism(t *testing.T) {
 				StaticTriage: true,
 				Verdicts:     true,
 				Incremental:  true,
-				FastVM:       true,
 			})
 			if err != nil {
 				t.Fatalf("layered run: %v", err)
@@ -133,7 +131,6 @@ func TestOnChainOracleKillResume(t *testing.T) {
 		Memo:        memo.ModeOn,
 		Verdicts:    true,
 		Incremental: true,
-		FastVM:      true,
 	}
 	ref, err := Run(context.Background(), mk(), cfg)
 	if err != nil {

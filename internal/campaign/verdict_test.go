@@ -16,11 +16,11 @@ import (
 // abstract-interpretation verdict engine: Config.Verdicts may only ever
 // change which jobs execute (proven-negative skips, confirmed-first
 // ordering), never the findings, and must compose with every other engine
-// layer — memoization, static triage, the incremental solver, the fast
-// execution engine, fault-injected retries, and journal kill+resume.
+// layer — memoization, static triage, the incremental solver,
+// fault-injected retries, and journal kill+resume.
 //
-// Unlike the fastvm differential, only FindingsDigest is compared across
-// the off/on pair: a verdict skip deliberately does no work, so the
+// Unlike the engine references in fastvm_test.go, only FindingsDigest is
+// compared across the off/on pair: a verdict skip deliberately does no work, so the
 // state digest's coverage counters differ by design (exactly as they do
 // for static-triage skips).
 
@@ -103,11 +103,11 @@ func TestVerdictResolvesJobs(t *testing.T) {
 }
 
 // TestVerdictComposesWithEverything stacks the verdict engine on top of
-// cross-job memoization, candidate-level static triage, the incremental
-// solver and the fast execution engine: five layers each promise digest
-// invariance, and this is the witness that the promises hold together.
-// With both triage layers on, the candidate pass skips first and the
-// verdict pass only sees what it left behind.
+// cross-job memoization, candidate-level static triage and the
+// incremental solver: four layers each promise digest invariance, and
+// this is the witness that the promises hold together. With both triage
+// layers on, the candidate pass skips first and the verdict pass only sees
+// what it left behind.
 func TestVerdictComposesWithEverything(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 16, 30, 13) }
 	verdictDigests(t, mk, Config{
@@ -116,7 +116,6 @@ func TestVerdictComposesWithEverything(t *testing.T) {
 		Memo:         memo.ModeOn,
 		StaticTriage: true,
 		Incremental:  true,
-		FastVM:       true,
 	})
 }
 

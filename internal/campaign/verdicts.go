@@ -23,10 +23,7 @@ import (
 //     any harness execution, scenario replays included, so the job's
 //     findings-digest line is unchanged);
 //   - a job with any ProvenPositive class is scheduled confirmed-first
-//     (reordering is digest-invisible: seeds derive from job IDs) and
-//     skips the static budget raise — the positive witness already fits
-//     the base budget, so the raise would only add headroom the proof
-//     shows is not needed to surface the finding.
+//     (reordering is digest-invisible: seeds derive from job IDs).
 //
 // Everything else — Unknown verdicts, jobs with custom detectors or trace
 // capture — runs the full dynamic campaign unchanged.

@@ -114,6 +114,11 @@ type Account struct {
 	// Sites is the instrumentation site table when the deployed binary is
 	// instrumented (nil otherwise); hooks are silent without it.
 	Sites *instrument.SiteTable
+	// prog is the module's decoded-IR program, compiled once at deploy and
+	// shared by every apply of the module (and by every chain the account
+	// is copied to with DeployFrom). Nil runs the module on the reference
+	// tree-walker.
+	prog *exec.Program
 
 	// Native contract (nil for Wasm accounts).
 	Native NativeContract
@@ -141,10 +146,6 @@ type Blockchain struct {
 	MaxInlineDepth int
 	// Fuel is the per-action instruction budget for Wasm execution.
 	Fuel int64
-	// FastVM selects the decoded-IR execution engine (exec.NewFastVM).
-	// Behaviour is identical to the tree-walking interpreter; only
-	// throughput changes.
-	FastVM bool
 	// Faults, when non-nil, injects the planned fault ahead of host-API
 	// dispatch (see internal/faultinject). Chains execute transactions
 	// single-threaded, so the host-call order — and therefore which call
@@ -214,29 +215,37 @@ func (bc *Blockchain) DeployWasm(name eos.Name, bin []byte, contractABI *abi.ABI
 	if err := wasm.Validate(m); err != nil {
 		return fmt.Errorf("chain: deploy %s: %w", name, err)
 	}
-	a := bc.CreateAccount(name)
-	if _, err := exec.Instantiate(m, bc.resolverFor(nil)); err != nil {
-		return fmt.Errorf("chain: deploy %s: link: %w", name, err)
-	}
 	sites, err := instrument.SitesFromModule(m)
 	if err != nil {
 		return fmt.Errorf("chain: deploy %s: %w", name, err)
 	}
-	a.Module = m
-	a.ABI = contractABI
-	a.Sites = sites
-	a.Native = nil
-	return nil
+	return bc.DeployModule(name, m, contractABI, sites)
 }
 
 // DeployModule installs an already-decoded module (skips re-decoding; used
-// by the fuzzer, which instruments modules in memory).
+// by the fuzzer, which instruments modules in memory) and compiles its
+// decoded-IR program.
 func (bc *Blockchain) DeployModule(name eos.Name, m *wasm.Module, contractABI *abi.ABI, sites *instrument.SiteTable) error {
+	return bc.deploy(name, m, exec.Compile(m), contractABI, sites)
+}
+
+// DeployFrom installs the Wasm contract deployed on src — module, ABI,
+// site table and compiled program — on the named account. The program is
+// shared, not recompiled: the fuzzer's scenario chains run the program its
+// campaign chain compiled once.
+func (bc *Blockchain) DeployFrom(name eos.Name, src *Account) error {
+	return bc.deploy(name, src.Module, src.prog, src.ABI, src.Sites)
+}
+
+// deploy link-checks m against this chain's host API and installs it with
+// its compiled program.
+func (bc *Blockchain) deploy(name eos.Name, m *wasm.Module, prog *exec.Program, contractABI *abi.ABI, sites *instrument.SiteTable) error {
 	a := bc.CreateAccount(name)
 	if _, err := exec.Instantiate(m, bc.resolverFor(nil)); err != nil {
 		return fmt.Errorf("chain: deploy %s: link: %w", name, err)
 	}
 	a.Module = m
+	a.prog = prog
 	a.ABI = contractABI
 	a.Sites = sites
 	a.Native = nil
@@ -249,6 +258,7 @@ func (bc *Blockchain) DeployNative(name eos.Name, n NativeContract, contractABI 
 	a.Native = n
 	a.ABI = contractABI
 	a.Module = nil
+	a.prog = nil
 }
 
 // UnDeploy removes the contract from an account (the paper's "abandoned"
@@ -256,6 +266,7 @@ func (bc *Blockchain) DeployNative(name eos.Name, n NativeContract, contractABI 
 func (bc *Blockchain) UnDeploy(name eos.Name) {
 	if a, ok := bc.accounts[name]; ok {
 		a.Module = nil
+		a.prog = nil
 		a.Native = nil
 	}
 }
@@ -422,16 +433,14 @@ func (bc *Blockchain) applyOne(txctx *txContext, receiver, code eos.Name, act Ac
 	return ctx.notified, ctx.inline, nil
 }
 
-// applyWasm instantiates the account's module and invokes its apply entry.
+// applyWasm instantiates the account's module and invokes its apply entry
+// on the program compiled at deploy.
 func (bc *Blockchain) applyWasm(ctx *Context, acct *Account) error {
 	inst, err := exec.Instantiate(acct.Module, bc.resolverFor(ctx))
 	if err != nil {
 		return fmt.Errorf("chain: instantiate %s: %w", acct.Name, err)
 	}
-	vm := exec.NewVM(inst)
-	if bc.FastVM {
-		vm = exec.NewFastVM(inst)
-	}
+	vm := exec.NewFastVM(inst, acct.prog)
 	vm.SetFuel(bc.Fuel)
 	vm.Context = ctx
 	ctx.vm = vm

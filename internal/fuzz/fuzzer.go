@@ -14,7 +14,6 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/scanner"
 	"repro/internal/schedule"
-	"repro/internal/static"
 	"repro/internal/symbolic"
 	"repro/internal/symexec"
 	"repro/internal/trace"
@@ -54,12 +53,6 @@ type Config struct {
 	// Fuel overrides the per-action instruction budget of the campaign
 	// chain (0 keeps the chain default).
 	Fuel int64
-	// Static, when non-nil, budgets the campaign from the module's static
-	// pre-analysis: branchy contracts get their fuel and solver conflict
-	// caps raised (never lowered — the budgets are monotone over the
-	// defaults), so deep paths are not starved. An explicit Fuel wins over
-	// the static fuel budget.
-	Static *static.Report
 	// Faults, when non-nil, injects the planned fault into the campaign
 	// chain's host API and the solver pool (see internal/faultinject). A
 	// transaction error chaining to faultinject.ErrInjected escalates to a
@@ -76,10 +69,6 @@ type Config struct {
 	// Findings are byte-identical on/off; the flag only trades solver
 	// work. Ignored on faulted attempts, like Memo.
 	Incremental bool
-	// FastVM runs the campaign chain on the decoded-IR execution engine
-	// (exec.NewFastVM). Findings and traces are byte-identical on/off;
-	// the flag only trades execution throughput.
-	FastVM bool
 	// Backend selects the chain personality (host-API surface, bootstrap
 	// accounts, API classification) the campaign and scenario chains run
 	// on. Nil means chain.EOSIO(), the default personality.
@@ -223,14 +212,8 @@ func New(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
 	}
 	bc := chain.NewWithBackend(backend)
 	bc.Collector = trace.NewCollector()
-	bc.FastVM = cfg.FastVM
 	if cfg.Fuel > 0 {
 		bc.Fuel = cfg.Fuel
-	} else if cfg.Static != nil {
-		bc.Fuel = cfg.Static.FuelBudget(bc.Fuel)
-	}
-	if cfg.Static != nil && cfg.SolverConflicts > 0 {
-		cfg.SolverConflicts = cfg.Static.SolverBudget(cfg.SolverConflicts)
 	}
 	if err := bc.DeployModule(victimName, res.Module, contractABI, res.Sites); err != nil {
 		return nil, failure.Wrap(failure.Decode, fmt.Errorf("fuzz: deploy target: %w", err))

@@ -7,9 +7,9 @@ package fuzz
 // scenario replays a small, fixed transaction script on a fresh chain —
 // no randomness, no coupling to the concolic loop's chain state — so the
 // verdicts are a pure function of the target module and invariant under
-// worker count, memoization, and the fast-VM flag. Evidence feeds only
-// the scanner's scenario observers; the five trace-oracle verdicts are
-// untouched by construction.
+// worker count and memoization. Evidence feeds only the scanner's
+// scenario observers; the five trace-oracle verdicts are untouched by
+// construction.
 
 import (
 	"context"
@@ -63,16 +63,16 @@ func (f *Fuzzer) runScenarios(ctx context.Context) error {
 }
 
 // scenarioChain builds a fresh chain mirroring the campaign deployment:
-// same backend personality, same instrumented victim module, funded
-// victim. Block state is held so tapos-derived randomness is identical
-// across replays and permutations — without this, ordinary block
-// advancement would masquerade as ordering dependence.
+// same backend personality, same instrumented victim module running on
+// the program the campaign chain compiled for it, funded victim. Block
+// state is held so tapos-derived randomness is identical across replays
+// and permutations — without this, ordinary block advancement would
+// masquerade as ordering dependence.
 func (f *Fuzzer) scenarioChain() (*chain.Blockchain, error) {
 	bc := chain.NewWithBackend(f.bc.Backend())
 	bc.Collector = trace.NewCollector()
-	bc.FastVM = f.cfg.FastVM
 	bc.Fuel = f.bc.Fuel
-	if err := bc.DeployModule(victimName, f.instr.Module, f.abi, f.instr.Sites); err != nil {
+	if err := bc.DeployFrom(victimName, f.bc.Account(victimName)); err != nil {
 		return nil, failure.Wrap(failure.Decode, fmt.Errorf("fuzz: scenario deploy: %w", err))
 	}
 	if err := bc.Issue(eos.TokenContract, victimName, eos.EOS(1_000_000_000_000)); err != nil {

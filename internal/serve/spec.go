@@ -46,7 +46,6 @@ type JobSpec struct {
 	// Engine toggles; all digest-neutral.
 	Memo         string `json:"memo,omitempty"`
 	Incremental  bool   `json:"incremental,omitempty"`
-	FastVM       bool   `json:"fastvm,omitempty"`
 	Verdicts     bool   `json:"verdicts,omitempty"`
 	StaticTriage bool   `json:"static_triage,omitempty"`
 	// Adaptive turns on the coverage-driven scheduling layer (power
@@ -119,7 +118,6 @@ func CampaignConfig(spec JobSpec, journal string, resume bool, cache *memo.Cache
 		Resume:       resume,
 		Memo:         mode,
 		Incremental:  spec.Incremental,
-		FastVM:       spec.FastVM,
 		Verdicts:     spec.Verdicts,
 		StaticTriage: spec.StaticTriage,
 		Adaptive:     spec.Adaptive,

@@ -278,29 +278,6 @@ func (r *Report) Score() int {
 	return score
 }
 
-// FuelBudget scales the per-action instruction budget by the contract's
-// reachable branch count, never below base: simple contracts keep the
-// default, branchy contracts get headroom so deep paths are not starved by
-// premature fuel exhaustion. Raising (and never lowering) the budget keeps
-// the oracle verdicts of budgeted runs a superset of default runs.
-func (r *Report) FuelBudget(base int64) int64 {
-	scale := int64(1 + r.Branches/64)
-	if scale > 4 {
-		scale = 4
-	}
-	return base * scale
-}
-
-// SolverBudget scales the per-query SMT conflict cap by branch count,
-// never below base (same monotonicity argument as FuelBudget).
-func (r *Report) SolverBudget(base int64) int64 {
-	scale := int64(1 + r.Branches/128)
-	if scale > 2 {
-		scale = 2
-	}
-	return base * scale
-}
-
 // String renders the report canonically: every collection is sorted, so two
 // analyses of the same module are byte-identical (the determinism tests
 // compare exactly this).

@@ -148,17 +148,3 @@ func TestReachabilityRespectsExports(t *testing.T) {
 		t.Errorf("reachable send_inline not flagged as Rollback candidate:\n%s", rep)
 	}
 }
-
-// TestBudgetsNeverLower pins the monotonicity the budgeting consumers rely
-// on: whatever the branch count, the fuel and solver budgets are >= base.
-func TestBudgetsNeverLower(t *testing.T) {
-	for _, branches := range []int{0, 1, 63, 64, 1000, 1 << 20} {
-		r := &static.Report{Branches: branches}
-		if got := r.FuelBudget(20_000_000); got < 20_000_000 {
-			t.Errorf("branches=%d: fuel budget %d below base", branches, got)
-		}
-		if got := r.SolverBudget(50_000); got < 50_000 {
-			t.Errorf("branches=%d: solver budget %d below base", branches, got)
-		}
-	}
-}

@@ -134,10 +134,9 @@ var errTraceEnd = errors.New("trace exhausted")
 //
 // Run is engine-agnostic by construction: it never selects or touches an
 // exec engine, it only consumes the trace event stream. The instrumentation
-// hooks are host calls, which the tree-walking interpreter and the
-// decoded-IR engine (exec.NewFastVM) dispatch identically, so a trace —
-// and therefore this replay — is byte-identical whichever engine produced
-// it. fuzz.Config.FastVM needs no counterpart here.
+// hooks are host calls, which the decoded-IR engine and its tree-walker
+// fallback dispatch identically, so a trace — and therefore this replay —
+// is byte-identical whichever engine produced it.
 func Run(mod *wasm.Module, tr *trace.Trace, params []Param, opts Options) (*Result, error) {
 	ctx := symbolic.NewCtx()
 	r := &replayer{

@@ -20,13 +20,14 @@ import (
 // observer the loop runs bare.
 type FastObserver func(funcIndex uint32, pc int, cost int)
 
-// NewFastVM returns a VM over inst that executes through the decoded-IR
-// engine. Function bodies the conservative IR compiler rejects fall back
-// to the reference tree-walker transparently, so observable behaviour is
-// identical to NewVM in every case.
-func NewFastVM(inst *Instance) *VM {
+// NewFastVM returns a VM over inst that executes through prog, the
+// decoded-IR program compiled from inst's module. Function bodies the
+// conservative IR compiler rejects fall back to the reference tree-walker
+// transparently, so observable behaviour is identical to NewVM in every
+// case; a nil prog runs everything on the tree-walker.
+func NewFastVM(inst *Instance, prog *Program) *VM {
 	vm := NewVM(inst)
-	vm.prog = programFor(inst.module)
+	vm.prog = prog
 	return vm
 }
 
@@ -73,14 +74,19 @@ func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64,
 			obs(f.index, pc, int(in.cost))
 		}
 		if vm.fuel -= int64(in.cost); vm.fuel < 0 {
-			return nil, &Trap{Kind: TrapFuelExhausted, FuncIndex: f.index, PC: pc}
+			// The tree-walker charges the represented (consecutive) source
+			// instructions one at a time and traps on the first it cannot
+			// pay for, leaving the meter at -1.
+			paid := int(vm.fuel) + int(in.cost)
+			vm.fuel = -1
+			return nil, &Trap{Kind: TrapFuelExhausted, FuncIndex: f.index, PC: int(fn.src[pc]) + paid}
 		}
 		switch in.op {
 		case irTick:
 			// fuel-only bookkeeping
 
 		case irUnreachable:
-			return nil, &Trap{Kind: TrapUnreachable, FuncIndex: f.index, PC: pc}
+			return nil, &Trap{Kind: TrapUnreachable, FuncIndex: f.index, PC: fn.trapPC(pc)}
 
 		case irBr:
 			if in.x == 1 {
@@ -150,14 +156,14 @@ func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64,
 			sp--
 			ti := st[sp]
 			if int(ti) >= len(vm.inst.table) {
-				return nil, &Trap{Kind: TrapUndefinedElement, FuncIndex: f.index, PC: pc}
+				return nil, &Trap{Kind: TrapUndefinedElement, FuncIndex: f.index, PC: fn.trapPC(pc)}
 			}
 			fi := vm.inst.table[ti]
 			if fi < 0 {
-				return nil, &Trap{Kind: TrapUndefinedElement, FuncIndex: f.index, PC: pc}
+				return nil, &Trap{Kind: TrapUndefinedElement, FuncIndex: f.index, PC: fn.trapPC(pc)}
 			}
 			if vm.prog.funcCanon[fi] != vm.prog.typeCanon[in.a] {
-				return nil, &Trap{Kind: TrapIndirectCallTypeMismatch, FuncIndex: f.index, PC: pc}
+				return nil, &Trap{Kind: TrapIndirectCallTypeMismatch, FuncIndex: f.index, PC: fn.trapPC(pc)}
 			}
 			callee := &vm.inst.funcs[fi]
 			n := len(callee.typ.Params)
@@ -213,7 +219,7 @@ func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64,
 			addr := uint64(uint32(st[sp-1])) + uint64(in.b)
 			end := addr + uint64(in.a)
 			if end > uint64(len(mem)) {
-				return nil, &Trap{Kind: TrapMemoryOutOfBounds, FuncIndex: f.index, PC: pc}
+				return nil, &Trap{Kind: TrapMemoryOutOfBounds, FuncIndex: f.index, PC: fn.trapPC(pc)}
 			}
 			st[sp-1] = loadVal(wasm.Opcode(in.x), mem[addr:end])
 
@@ -224,7 +230,7 @@ func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64,
 			sp -= 2
 			end := addr + uint64(in.a)
 			if end > uint64(len(mem)) {
-				return nil, &Trap{Kind: TrapMemoryOutOfBounds, FuncIndex: f.index, PC: pc}
+				return nil, &Trap{Kind: TrapMemoryOutOfBounds, FuncIndex: f.index, PC: fn.trapPC(pc)}
 			}
 			storeVal(wasm.Opcode(in.x), mem[addr:end], val)
 
@@ -234,14 +240,14 @@ func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64,
 			sp--
 			end := addr + uint64(in.a)
 			if end > uint64(len(mem)) {
-				return nil, &Trap{Kind: TrapMemoryOutOfBounds, FuncIndex: f.index, PC: pc}
+				return nil, &Trap{Kind: TrapMemoryOutOfBounds, FuncIndex: f.index, PC: fn.trapPC(pc)}
 			}
 			storeVal(wasm.Opcode(in.x), mem[addr:end], in.imm)
 
 		case irNumeric:
 			w := st[:sp]
 			if _, k := applyNumeric(wasm.Opcode(in.x), &w); k != 0 {
-				return nil, &Trap{Kind: k, FuncIndex: f.index, PC: pc}
+				return nil, &Trap{Kind: k, FuncIndex: f.index, PC: fn.trapPC(pc)}
 			}
 			sp = len(w)
 
@@ -353,7 +359,7 @@ func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64,
 			st[sp-1] += in.imm
 
 		default:
-			return nil, &Trap{Kind: TrapHostError, FuncIndex: f.index, PC: pc,
+			return nil, &Trap{Kind: TrapHostError, FuncIndex: f.index, PC: fn.trapPC(pc),
 				Wrapped: fmt.Errorf("invalid decoded opcode %d", in.op)}
 		}
 		pc++
@@ -361,6 +367,12 @@ func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64,
 	// Unreachable: compiled bodies always end in irReturn.
 	return nil, nil
 }
+
+// trapPC is the source pc — the coordinate the tree-walker reports traps
+// in — of a trap raised by the decoded instruction at pc. A fused
+// instruction represents consecutive source instructions, and only the
+// last of them can trap.
+func (fn *irFunc) trapPC(pc int) int { return int(fn.src[pc]) + int(fn.code[pc].cost) - 1 }
 
 // b2u converts a comparison result to the Wasm boolean encoding.
 func b2u(b bool) uint64 {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/contractgen"
@@ -31,7 +32,7 @@ func runSemEngine(t *testing.T, p *contractgen.SemProgram, fast bool) semOutcome
 	}
 	var vm *VM
 	if fast {
-		vm = NewFastVM(inst)
+		vm = NewFastVM(inst, Compile(inst.module))
 	} else {
 		vm = NewVM(inst)
 	}
@@ -89,12 +90,52 @@ func TestGenerativeDifferentialGate(t *testing.T) {
 		}
 
 		// The gate is vacuous if the IR compiler rejects everything.
-		prog := programFor(p.Module)
+		prog := Compile(p.Module)
 		if idx, ok := p.Module.ExportedFunc("run"); ok && prog.funcs[idx] != nil {
 			compiled++
 		}
 	}
 	if compiled < seeds*9/10 {
 		t.Fatalf("only %d/%d generated programs compiled to IR; gate is not exercising the fast engine", compiled, seeds)
+	}
+}
+
+// TestFuelTrapsMatchTreeWalker starves generated programs at seeded fuel
+// budgets below their full cost, so the meter runs dry inside fused and
+// unfused instructions alike: both engines must raise the same trap —
+// kind, function and source pc — and leave the same fuel behind.
+func TestFuelTrapsMatchTreeWalker(t *testing.T) {
+	budgets := rand.New(rand.NewSource(1))
+	for seed := int64(0); seed < 128; seed++ {
+		p := contractgen.GenerateSemantics(seed)
+		prog := Compile(p.Module)
+		run := func(fast bool, fuel int64) (int64, error) {
+			inst, err := Instantiate(p.Module, Resolver{"sem": HostModule{
+				"note": func(*VM, []uint64) ([]uint64, error) { return nil, nil },
+			}})
+			if err != nil {
+				t.Fatalf("Instantiate: %v", err)
+			}
+			vm := NewVM(inst)
+			if fast {
+				vm = NewFastVM(inst, prog)
+			}
+			vm.SetFuel(fuel)
+			_, err = vm.Invoke("run")
+			return vm.Fuel(), err
+		}
+		if left, err := run(false, DefaultFuel); err == nil {
+			cost := DefaultFuel - left
+			for i := 0; i < 8; i++ {
+				fuel := budgets.Int63n(cost)
+				refLeft, refErr := run(false, fuel)
+				fastLeft, fastErr := run(true, fuel)
+				if !IsTrap(refErr, TrapFuelExhausted) || fastErr == nil ||
+					refErr.Error() != fastErr.Error() || refLeft != fastLeft {
+					t.Fatalf("seed %d fuel %d: tree-walker %v (fuel %d), fast %v (fuel %d)",
+						seed, fuel, refErr, refLeft, fastErr, fastLeft)
+				}
+			}
+		}
 	}
 }

@@ -65,7 +65,7 @@ func fuzzRun(m *wasm.Module, fast bool) (outcomes []semOutcome, calls []hostCall
 		}
 		var vm *VM
 		if fast {
-			vm = NewFastVM(inst)
+			vm = NewFastVM(inst, Compile(inst.module))
 		} else {
 			vm = NewVM(inst)
 		}

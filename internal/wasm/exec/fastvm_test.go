@@ -33,7 +33,7 @@ func runEngine(t *testing.T, m *wasm.Module, fast bool, fuel int64, args ...uint
 	}
 	var vm *VM
 	if fast {
-		vm = NewFastVM(inst)
+		vm = NewFastVM(inst, Compile(inst.module))
 	} else {
 		vm = NewVM(inst)
 	}
@@ -259,7 +259,7 @@ func TestIRCompilesCommonShapes(t *testing.T) {
 	for name, body := range bodies {
 		t.Run(name, func(t *testing.T) {
 			m := buildModule(t, nil, i32, nil, body)
-			p := programFor(m)
+			p := Compile(m)
 			if p.funcs[0] == nil {
 				t.Fatalf("body %q was rejected by the IR compiler", name)
 			}
@@ -278,7 +278,7 @@ func TestIRFusion(t *testing.T) {
 		wasm.I32Const(0), wasm.I32Const(0x7777), wasm.Store(wasm.OpI32Store16, 0), // const+store
 		wasm.I32Const(0), wasm.Load(wasm.OpI32Load16U, 0), wasm.Op0(wasm.OpI32Add),
 	})
-	p := programFor(m)
+	p := Compile(m)
 	fn := p.funcs[0]
 	if fn == nil {
 		t.Fatal("fusion body rejected")
@@ -343,7 +343,7 @@ func TestFastFallbackIllTyped(t *testing.T) {
 		wasm.I32Const(0), wasm.IfTyped(wasm.I32), wasm.I32Const(2), wasm.End(),
 	}
 	m := buildModule(t, nil, i32, nil, body)
-	if fn := programFor(m).funcs[0]; fn != nil {
+	if fn := Compile(m).funcs[0]; fn != nil {
 		t.Fatal("ill-typed body unexpectedly compiled")
 	}
 	runBoth(t, m)
@@ -360,7 +360,7 @@ func TestFastObserver(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}
-	vm := NewFastVM(inst)
+	vm := NewFastVM(inst, Compile(inst.module))
 	var traced int
 	vm.SetFastObserver(func(fi uint32, pc, cost int) { traced += cost })
 	start := vm.Fuel()

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/wasm"
 )
@@ -120,46 +119,32 @@ type irFunc struct {
 	nLocals  int // params + declared locals
 	nResults int
 	// src maps each ir-pc back to the source pc (index into the original
-	// body) it was lowered from. It lives in a parallel slice — not in the
+	// body) it was lowered from — the first of the source instructions a
+	// fused instruction represents. It lives in a parallel slice — not in the
 	// 24-byte irInstr — so the hot dispatch loop's cache footprint is
 	// unchanged; only observers (the abstract interpreter, witnesses in
 	// original trace coordinates) read it.
 	src []uint32
 }
 
-// irProgram is the decoded form of one module: per-function compiled
+// Program is the decoded form of one module: per-function compiled
 // bodies (nil entries fall back to the tree-walker) and the canonical
 // type id of every function in the index space, so call_indirect type
-// checks are a single integer comparison.
-type irProgram struct {
+// checks are a single integer comparison. A Program is immutable once
+// compiled; its owner (the chain account the module is deployed on) hands
+// it to every VM that executes the module, so each deployment pays for
+// compilation once and the program lives exactly as long as the module.
+type Program struct {
 	funcs     []*irFunc // indexed by function-space index
 	funcCanon []uint32  // canonical type id per function-space index
 	typeCanon []uint32  // canonical type id per module type index
 }
 
-// irCache memoizes compiled programs by module identity. Modules are
-// immutable once decoded, and compilation is a pure function of the body
-// bytes, so the cache can never change observable behaviour — it only
-// removes duplicated decode work across the many short-lived VMs the
-// chain layer creates.
-//
-//wasai:localcache decoded IR is a pure function of the immutable module, keyed by pointer identity
-var irCache sync.Map // *wasm.Module -> *irProgram
-
-// programFor returns the decoded program for m, compiling it on first use.
-func programFor(m *wasm.Module) *irProgram {
-	if p, ok := irCache.Load(m); ok {
-		return p.(*irProgram)
-	}
-	p := compileModule(m)
-	actual, _ := irCache.LoadOrStore(m, p)
-	return actual.(*irProgram)
-}
-
-// compileModule lowers every local function body, recording nil for any
-// body the conservative static pass rejects.
-func compileModule(m *wasm.Module) *irProgram {
-	p := &irProgram{
+// Compile lowers every local function body of m, recording nil for any
+// body the conservative static pass rejects. Compilation is a pure
+// function of the immutable module; nothing is cached.
+func Compile(m *wasm.Module) *Program {
+	p := &Program{
 		funcs:     make([]*irFunc, m.NumFuncs()),
 		funcCanon: make([]uint32, m.NumFuncs()),
 		typeCanon: make([]uint32, len(m.Types)),
@@ -783,10 +768,9 @@ func (c *compiler) lowerDataOp(in *wasm.Instr) error {
 					fused = irGetGetAddI64
 				}
 				cost := p1.cost + p2.cost + 1
-				fi := irInstr{op: fused, cost: cost, a: p2.a, b: p1.a}
-				c.out = c.out[:len(c.out)-2]
-				c.srcs = c.srcs[:len(c.srcs)-2]
-				c.emit(fi)
+				first := c.srcs[len(c.srcs)-2]
+				c.out = append(c.out[:len(c.out)-2], irInstr{op: fused, cost: cost, a: p2.a, b: p1.a})
+				c.srcs = append(c.srcs[:len(c.srcs)-2], first)
 				return nil
 			}
 		}

@@ -7,8 +7,7 @@ import "repro/internal/wasm"
 // instruction stream the fast engine executes — same lowering, same fusion,
 // same pre-resolved branch targets — instead of re-deriving its own IR and
 // risking a semantic gap between what is proven and what runs. Everything
-// here is an immutable view: the underlying program is shared with the
-// dispatch loop and cached per module.
+// here is an immutable view of a Program.
 
 // IROp is the exported name of the decoded opcode enumeration.
 type IROp = irOp
@@ -145,13 +144,14 @@ func (v IRFuncView) MaxStack() int { return v.fn.maxStack }
 
 // IRView is a read-only view of one module's decoded program.
 type IRView struct {
-	p *irProgram
+	p *Program
 }
 
-// IRFor returns the decoded-IR view for m, compiling (and caching) on
-// first use — the same cache the fast engine reads.
+// IRFor compiles m and returns the view of its decoded IR — the same
+// lowering the fast engine executes. Nothing is cached: callers that
+// analyze a module repeatedly cache their own results (internal/memo).
 func IRFor(m *wasm.Module) *IRView {
-	return &IRView{p: programFor(m)}
+	return &IRView{p: Compile(m)}
 }
 
 // Func returns the view of the function at index idx in the function index

@@ -22,7 +22,7 @@ type VM struct {
 	// prog, when non-nil, selects the decoded-IR fast engine (fastvm.go);
 	// functions its conservative compiler rejected stay nil in prog.funcs
 	// and run on the tree-walker below.
-	prog    *irProgram
+	prog    *Program
 	fastObs FastObserver
 
 	// Context carries host-defined state (the chain's apply context) that
@@ -30,7 +30,9 @@ type VM struct {
 	Context any
 }
 
-// NewVM returns a VM over inst with the default fuel budget.
+// NewVM returns a VM over inst with the default fuel budget that runs
+// every function on the reference tree-walker — the oracle the decoded-IR
+// engine (NewFastVM) is tested against.
 func NewVM(inst *Instance) *VM { return &VM{inst: inst, fuel: DefaultFuel} }
 
 // SetFuel replaces the remaining instruction budget.

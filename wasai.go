@@ -85,11 +85,6 @@ type Config struct {
 	// a word-level simplification pre-pass. Findings are byte-identical
 	// on/off; the flag only reduces solver work.
 	Incremental bool
-	// FastVM runs contract execution on the decoded-IR direct-threaded
-	// engine instead of the tree-walking interpreter. Findings, traces
-	// and digests are byte-identical on/off; the flag only raises
-	// execution throughput.
-	FastVM bool
 	// Adaptive enables the coverage-driven power schedule
 	// (internal/schedule): payload/action arms and seed-pool entries carry
 	// energy scores updated from coverage deltas, and the DBG writer→reader
@@ -239,7 +234,6 @@ func AnalyzeModule(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Report,
 		CustomDetectors:  customs,
 		Memo:             cache.SolverMemo(),
 		Incremental:      cfg.Incremental,
-		FastVM:           cfg.FastVM,
 		Adaptive:         cfg.Adaptive,
 		SaturationWindow: cfg.SaturationWindow,
 	})
