@@ -77,8 +77,9 @@ fastvm:
 
 # Verdict-engine gate: zero soundness violations in both directions against
 # a dynamic campaign, ≥30% of the wild (contract, class) verdict matrix
-# decided statically, and byte-identical findings digests with verdicts off
-# and on at 1/4/8 workers (exit status is the assertion).
+# decided statically, and byte-identical campaign digests at 1/4/8 workers
+# (exit status is the assertion). The verdicts are a standalone report; the
+# campaign never consults them.
 verdict:
 	$(GO) run ./cmd/wasai-bench -exp verdict
 

@@ -51,11 +51,6 @@ type BatchConfig struct {
 	JobTimeout time.Duration
 	// QueueDepth bounds Campaign.Submit backpressure (0 = 2×Workers).
 	QueueDepth int
-	// StaticTriage pre-analyzes each contract's bytecode and answers
-	// provably-clean jobs without fuzzing them (BatchResult.Skipped).
-	// Findings are unchanged — only statically-impossible work is skipped —
-	// and jobs with custom detectors or trace capture are never skipped.
-	StaticTriage bool
 	// Journal, when non-empty, checkpoints every completed contract to an
 	// append-only JSONL file at this path, so a killed batch can be
 	// resumed without repeating finished work.
@@ -70,7 +65,7 @@ type BatchConfig struct {
 	MaxAttempts int
 	// Memo is inherited from Config ("off"/"on"/"shared"): in a batch it
 	// additionally reuses decoded modules across content-identical
-	// submissions and static reports across triage, and with "shared" the
+	// submissions, and with "shared" the
 	// cache outlives the batch (resumed or repeated batches start warm).
 	// Findings are unchanged at any worker count; only duplicated work is
 	// skipped. (The field itself lives on the embedded Config.)
@@ -93,9 +88,6 @@ type BatchResult struct {
 	// Err is the job's failure: decode/setup errors, the per-job deadline
 	// (context.DeadlineExceeded), or a recovered panic.
 	Err error
-	// Skipped marks a contract answered by static triage without fuzzing
-	// (the Report carries the all-clean verdict a campaign would produce).
-	Skipped bool
 	// FailureClass names the failure taxonomy class of Err ("none" when
 	// the job succeeded; see internal/failure).
 	FailureClass string
@@ -114,9 +106,8 @@ type CampaignReport struct {
 	// Jobs holds one entry per submitted contract, in submission order.
 	Jobs []BatchResult
 	// Completed and Failed partition the jobs; Flagged counts completed
-	// jobs with at least one vulnerable class; Skipped counts the completed
-	// jobs answered by static triage without fuzzing.
-	Completed, Failed, Flagged, Skipped int
+	// jobs with at least one vulnerable class.
+	Completed, Failed, Flagged int
 	// Degraded, Retried and Replayed count the resilience outcomes:
 	// results accepted from a degraded attempt, jobs needing more than one
 	// attempt, and results restored from a resume journal.
@@ -221,8 +212,6 @@ func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
 		QueueDepth:       cfg.QueueDepth,
 		JobTimeout:       cfg.JobTimeout,
 		BaseSeed:         cfg.Seed,
-		StaticTriage:     cfg.StaticTriage,
-		Verdicts:         cfg.Verdicts,
 		Journal:          cfg.Journal,
 		Resume:           cfg.Resume,
 		Retry:            campaign.RetryPolicy{MaxAttempts: cfg.MaxAttempts},
@@ -470,9 +459,6 @@ func (c *Campaign) tally(report *CampaignReport) {
 			continue
 		}
 		report.Completed++
-		if br.Skipped {
-			report.Skipped++
-		}
 		if br.DegradedMode != "" {
 			report.Degraded++
 		}
@@ -497,7 +483,6 @@ func toBatchResult(jr campaign.JobResult) BatchResult {
 		Index:        jr.Job.ID,
 		Name:         jr.Job.Name,
 		Err:          jr.Err,
-		Skipped:      jr.Skipped,
 		FailureClass: jr.FailureClass.String(),
 		Attempts:     jr.Attempts,
 		DegradedMode: jr.DegradedMode,

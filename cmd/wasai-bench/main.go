@@ -29,14 +29,13 @@
 // instance per flip family, plus word-level simplification) through the same
 // experiments, again findings-invariant; -exp incr runs the incremental
 // on/off differential at worker counts 1/4/8 and exits non-zero unless
-// digests are identical and total CDCL conflicts drop ≥30%. -verdicts
-// threads abstract-interpretation verdict triage (internal/static/absint)
-// through the same experiments: all-proven-negative jobs skip execution and
-// proven-positive jobs schedule confirmed-first, findings-invariant either
-// way. -exp verdict runs the verdict gate — per-class soundness against a
-// dynamic campaign in both directions (zero violations), ≥30% of the wild
-// (contract, class) verdict matrix decided statically, and byte-identical
-// findings digests with verdicts off/on at worker counts 1/4/8. -exp
+// digests are identical and total CDCL conflicts drop ≥30%. -exp triage
+// scores the static candidate flags (internal/static) against one dynamic
+// campaign. -exp verdict runs the abstract-interpretation verdict gate
+// (internal/static/absint) — per-class soundness against a dynamic campaign
+// in both directions (zero violations), ≥30% of the wild (contract, class)
+// verdict matrix decided statically, and byte-identical campaign digests at
+// worker counts 1/4/8. -exp
 // onchain runs the on-chain-data oracle gate: every injected fixture (both
 // polarities of all classes plus boilerplate) through full campaigns, with
 // perfect per-class precision/recall against generator ground truth and
@@ -100,7 +99,6 @@ func run() error {
 		iters     = flag.Int("iterations", 240, "fuzzing budget per contract")
 		workers   = flag.Int("workers", 0, "campaign-engine worker count (0 = GOMAXPROCS); findings are identical for any value")
 		svg       = flag.String("svg", "", "fig3: also write the figure as an SVG to this path")
-		triage    = flag.Bool("static-triage", false, "run only the static-triage agreement experiment (shorthand for -exp triage)")
 		journal   = flag.String("journal", "", "rq4: checkpoint the sweep to this JSONL journal")
 		resume    = flag.Bool("resume", false, "rq4: replay contracts already recorded in -journal instead of re-running them")
 		retries   = flag.Int("retries", 1, "max attempts per contract; attempts after the first run with degraded budgets")
@@ -110,15 +108,11 @@ func run() error {
 		outPath   = flag.String("out", "", "regress: where to write the fresh record (default BENCH_<date>.json)")
 		writeBase = flag.Bool("write-baseline", false, "regress: (re)write -baseline from this run instead of comparing")
 		incr      = flag.Bool("incremental", false, "incremental prefix-sharing solver for flip queries; findings are identical either way")
-		verdicts  = flag.Bool("verdicts", false, "abstract-interpretation verdict triage; findings are identical either way")
 		adaptive  = flag.Bool("adaptive", false, "coverage-driven power schedule + campaign fuel ledger; deterministic at any worker count but NOT digest-neutral vs a static run")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
 	)
 	flag.Parse()
-	if *triage {
-		*exp = "triage"
-	}
 	memoMode, err := memo.ParseMode(*memoFlag)
 	if err != nil {
 		return err
@@ -156,7 +150,6 @@ func run() error {
 	evalCfg.Workers = *workers
 	evalCfg.Memo = memoMode
 	evalCfg.Incremental = *incr
-	evalCfg.Verdicts = *verdicts
 	evalCfg.Adaptive = *adaptive
 	tools := []bench.Tool{bench.ToolWASAI, bench.ToolEOSFuzzer, bench.ToolEOSAFE}
 
@@ -180,7 +173,6 @@ func run() error {
 			cfg.Workers = *workers
 			cfg.Memo = memoMode
 			cfg.Incremental = *incr
-			cfg.Verdicts = *verdicts
 			cfg.Adaptive = *adaptive
 			cfg.NumContracts = int(float64(cfg.NumContracts) * *scale)
 			if cfg.NumContracts < 5 {
@@ -255,19 +247,12 @@ func run() error {
 		}
 	}
 	if want("triage") {
-		if err := runExp("Static triage (static-vs-dynamic agreement)", func() error {
+		if err := runExp("Static candidates (static-vs-dynamic agreement)", func() error {
 			ds, err := bench.BuildGroundTruth(bench.Table4Counts, opts)
 			if err != nil {
 				return err
 			}
-			tcfg := bench.DefaultTriageConfig()
-			tcfg.FuzzIterations = *iters
-			tcfg.Seed = *seed
-			tcfg.Workers = *workers
-			tcfg.Memo = memoMode
-			tcfg.Incremental = *incr
-			tcfg.Verdicts = *verdicts
-			res, err := bench.EvaluateTriage(context.Background(), ds, tcfg)
+			res, err := bench.EvaluateTriage(context.Background(), ds, evalCfg)
 			if err != nil {
 				return err
 			}
@@ -288,7 +273,6 @@ func run() error {
 			cfg.MaxAttempts = *retries
 			cfg.Memo = memoMode
 			cfg.Incremental = *incr
-			cfg.Verdicts = *verdicts
 			cfg.Adaptive = *adaptive
 			cfg.NumContracts = int(float64(cfg.NumContracts) * *scale)
 			if cfg.NumContracts < 20 {

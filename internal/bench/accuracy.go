@@ -58,6 +58,23 @@ func (c Counts) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
+// Rates renders precision, recall and F1 as percentages ("87.5%"), or
+// "n/a" where the rate is undefined: precision with nothing flagged
+// (TP+FP=0), recall with no positives (TP+FN=0), F1 with neither
+// (TP+FP+FN=0). Every report that prints these rates goes through it, so
+// none prints a number for a result that does not apply.
+func (c Counts) Rates() (p, r, f1 string) {
+	pct := func(v float64, defined bool) string {
+		if !defined {
+			return "n/a"
+		}
+		return fmt.Sprintf("%.1f%%", 100*v)
+	}
+	return pct(c.Precision(), c.TP+c.FP > 0),
+		pct(c.Recall(), c.TP+c.FN > 0),
+		pct(c.F1(), c.TP+c.FP+c.FN > 0)
+}
+
 // Total merges all counts.
 func Total(per map[contractgen.Class]Counts) Counts {
 	var t Counts
@@ -109,14 +126,11 @@ type EvalConfig struct {
 	Workers int
 	// Memo selects cross-job memoization for the WASAI campaigns
 	// (off/on/shared; findings are identical either way — the cache only
-	// removes duplicated solver/decode/static work).
+	// removes duplicated solver/decode work).
 	Memo memo.Mode
 	// Incremental enables the prefix-sharing incremental solver in the
 	// WASAI campaigns (findings are identical either way).
 	Incremental bool
-	// Verdicts enables abstract-interpretation verdict triage in the WASAI
-	// campaigns (findings are identical either way).
-	Verdicts bool
 	// Adaptive runs the WASAI campaigns under the coverage-driven power
 	// schedule and fuel ledger (internal/schedule). Deterministic at any
 	// worker count, but not digest-neutral against a static run.
@@ -135,7 +149,7 @@ func DefaultEvalConfig() EvalConfig {
 // engine (each campaign owns its chain, so they are independent); WASAI
 // campaigns shard as engine jobs, the baselines through campaign.Each.
 func EvaluateAccuracy(ds *Dataset, tools []Tool, cfg EvalConfig) ([]AccuracyResult, error) {
-	engCfg := campaign.Config{Workers: cfg.Workers, Memo: cfg.Memo, Incremental: cfg.Incremental, Verdicts: cfg.Verdicts, Adaptive: cfg.Adaptive}
+	engCfg := campaign.Config{Workers: cfg.Workers, Memo: cfg.Memo, Incremental: cfg.Incremental, Adaptive: cfg.Adaptive}
 	results := make([]AccuracyResult, 0, len(tools))
 	for _, tool := range tools {
 		verdicts := make([]bool, len(ds.Samples))
@@ -260,8 +274,8 @@ func RenderAccuracyTable(title string, ds *Dataset, results []AccuracyResult) st
 				fmt.Fprintf(&sb, " | %-9s %-6s %-6s %-6s", "", "-", "-", "-")
 				continue
 			}
-			fmt.Fprintf(&sb, " | %-9s %5.1f%% %5.1f%% %5.1f%%", "",
-				100*c.Precision(), 100*c.Recall(), 100*c.F1())
+			p, rc, f1 := c.Rates()
+			fmt.Fprintf(&sb, " | %-9s %6s %6s %6s", "", p, rc, f1)
 		}
 		sb.WriteString("\n")
 	}

@@ -36,6 +36,34 @@ func TestCountsAdd(t *testing.T) {
 	}
 }
 
+func TestCountsRates(t *testing.T) {
+	for _, tc := range []struct {
+		c        Counts
+		p, r, f1 string
+	}{
+		{Counts{TP: 8, FP: 2, TN: 9, FN: 1}, "80.0%", "88.9%", "84.2%"},
+		{Counts{TP: 0, FP: 0, TN: 9, FN: 0}, "n/a", "n/a", "n/a"},   // nothing flagged, no positives
+		{Counts{TP: 0, FP: 3, TN: 9, FN: 0}, "0.0%", "n/a", "0.0%"}, // no positives
+		{Counts{TP: 0, FP: 0, TN: 9, FN: 2}, "n/a", "0.0%", "0.0%"}, // nothing flagged
+		{Counts{TP: 4, FP: 0, TN: 0, FN: 0}, "100.0%", "100.0%", "100.0%"},
+	} {
+		p, r, f1 := tc.c.Rates()
+		if p != tc.p || r != tc.r || f1 != tc.f1 {
+			t.Errorf("%+v.Rates() = %q %q %q, want %q %q %q", tc.c, p, r, f1, tc.p, tc.r, tc.f1)
+		}
+	}
+	// The RQ4 renderer prints n/a for a class without ground-truth
+	// positives or flags, never a 0.0% that reads like a measured miss.
+	out := RenderWild(&WildResult{
+		Total:            3,
+		PerClass:         map[contractgen.Class]int{},
+		PerClassAccuracy: map[contractgen.Class]Counts{contractgen.ClassStateTamper: {TN: 3}},
+	})
+	if !strings.Contains(out, "P=n/a R=n/a") || strings.Contains(out, "P=0.0% R=0.0%") {
+		t.Errorf("RQ4 render prints numbers for undefined rates:\n%s", out)
+	}
+}
+
 func TestTotalMerges(t *testing.T) {
 	per := map[contractgen.Class]Counts{
 		contractgen.ClassFakeEOS:  {TP: 1, FP: 2},

@@ -30,9 +30,6 @@ type CoverageConfig struct {
 	// Incremental enables the prefix-sharing incremental solver
 	// (coverage curves are identical either way).
 	Incremental bool
-	// Verdicts enables abstract-interpretation verdict triage (coverage
-	// points come only from executed jobs; findings are identical).
-	Verdicts bool
 	// Adaptive runs the WASAI side under the coverage-driven power schedule
 	// and fuel ledger; the EOSFuzzer baseline stays static either way.
 	Adaptive bool
@@ -70,7 +67,7 @@ func EvaluateCoverage(cfg CoverageConfig) ([]CoverageSeries, error) {
 	// Both tools run on the campaign engine: WASAI campaigns as engine jobs,
 	// the baseline through campaign.Each. Per-contract series are summed
 	// serially afterwards, so the curves are worker-count invariant.
-	engCfg := campaign.Config{Workers: cfg.Workers, Memo: cfg.Memo, Incremental: cfg.Incremental, Verdicts: cfg.Verdicts, Adaptive: cfg.Adaptive}
+	engCfg := campaign.Config{Workers: cfg.Workers, Memo: cfg.Memo, Incremental: cfg.Incremental, Adaptive: cfg.Adaptive}
 	jobs := make([]campaign.Job, len(contracts))
 	for i, c := range contracts {
 		jobs[i] = campaign.Job{

@@ -12,126 +12,78 @@ import (
 	"repro/internal/static"
 )
 
-// TriageConfig tunes EvaluateTriage.
-type TriageConfig struct {
-	EvalConfig
-	// TrivialContracts appends this many action-less contracts (exported
-	// apply, no dispatch table, no effectful host calls) to the corpus.
-	// Every generated benchmark contract uses call_indirect dispatch and so
-	// is a Fake EOS/Notif candidate; the trivial padding is what gives the
-	// triage pass provably-negative jobs to skip, mimicking the large
-	// fraction of boilerplate contracts in a wild population.
-	TrivialContracts int
-}
-
-// DefaultTriageConfig mirrors DefaultEvalConfig with enough trivial padding
-// to measure the skip path.
-func DefaultTriageConfig() TriageConfig {
-	return TriageConfig{EvalConfig: DefaultEvalConfig(), TrivialContracts: 8}
-}
-
-// TriageResult reports the static-vs-dynamic agreement experiment: the same
-// corpus fuzzed with triage off and on.
+// TriageResult reports the static-vs-dynamic agreement experiment: the
+// static candidate flags of every corpus contract scored against one
+// dynamic campaign over the same corpus.
 type TriageResult struct {
-	// Samples is the corpus size (dataset samples + trivial padding);
-	// Skipped how many jobs triage answered statically.
-	Samples, Skipped int
-	// DigestMatch is the acceptance gate: the findings digests of the two
-	// runs are byte-identical (triage never changes findings).
-	DigestMatch bool
-	// BaselineWall and TriageWall are the two campaigns' wall-clock times.
-	BaselineWall, TriageWall time.Duration
+	// Samples is the corpus size.
+	Samples int
+	// Wall is the dynamic campaign's wall-clock time.
+	Wall time.Duration
 	// PerClass scores the static candidate flag against the dynamic oracle
 	// per class: truth = the fuzzer flagged the class, flagged = the static
-	// candidate was set. Recall must be 1.0 — a dynamic finding without its
-	// candidate flag would mean an unsound skip condition.
+	// candidate was set. Recall must be 1.0 — each candidate flag is a
+	// necessary condition for its oracle, so a dynamic finding without it
+	// means the static pass is unsound.
 	PerClass map[contractgen.Class]Counts
 	// Total merges PerClass.
 	Total Counts
 }
 
-// Speedup returns baseline wall / triage wall (>1 means triage saved time).
-func (r *TriageResult) Speedup() float64 {
-	if r.TriageWall <= 0 {
-		return 0
-	}
-	return float64(r.BaselineWall) / float64(r.TriageWall)
-}
-
 // String renders the report in the style of the accuracy tables.
 func (r *TriageResult) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "static triage: %d contracts, %d skipped, digest match=%v\n",
-		r.Samples, r.Skipped, r.DigestMatch)
-	fmt.Fprintf(&sb, "  wall: baseline %.2fs, triage %.2fs (%.2fx)\n",
-		r.BaselineWall.Seconds(), r.TriageWall.Seconds(), r.Speedup())
+	fmt.Fprintf(&sb, "static candidates: %d contracts scored against the dynamic campaign (%.2fs)\n",
+		r.Samples, r.Wall.Seconds())
 	fmt.Fprintf(&sb, "  %-14s %9s %9s\n", "candidates", "precision", "recall")
-	for _, class := range contractgen.Classes {
-		c := r.PerClass[class]
-		fmt.Fprintf(&sb, "  %-14s %8.1f%% %8.1f%%\n", class, 100*c.Precision(), 100*c.Recall())
+	row := func(label string, c Counts) {
+		p, rc, _ := c.Rates()
+		fmt.Fprintf(&sb, "  %-14s %9s %9s\n", label, p, rc)
 	}
-	fmt.Fprintf(&sb, "  %-14s %8.1f%% %8.1f%%\n", "overall", 100*r.Total.Precision(), 100*r.Total.Recall())
+	for _, class := range contractgen.Classes {
+		row(class.String(), r.PerClass[class])
+	}
+	row("overall", r.Total)
 	return sb.String()
 }
 
-// EvaluateTriage fuzzes the corpus twice — triage off, then on — and scores
-// the static candidate flags against the dynamic verdicts of the baseline
-// run. It is the evaluation the static layer is held to: the pass is
-// measured (precision/recall/wall-clock), not just trusted.
-func EvaluateTriage(ctx context.Context, ds *Dataset, cfg TriageConfig) (*TriageResult, error) {
-	var jobs []campaign.Job
+// EvaluateTriage fuzzes the corpus once and scores the static candidate
+// flags (internal/static) against the dynamic verdicts. It is the
+// evaluation the static layer is held to: the pass is measured
+// (precision/recall), not just trusted.
+func EvaluateTriage(ctx context.Context, ds *Dataset, cfg EvalConfig) (*TriageResult, error) {
+	jobs := make([]campaign.Job, len(ds.Samples))
 	fcfg := fuzz.Config{Iterations: cfg.FuzzIterations, SolverConflicts: cfg.SolverConflicts}
-	for _, s := range ds.Samples {
-		jobs = append(jobs, campaign.Job{
+	for i, s := range ds.Samples {
+		jobs[i] = campaign.Job{
 			Name:   fmt.Sprintf("%s-%d", s.Class, s.ID),
 			Module: s.Contract.Module,
 			ABI:    s.Contract.ABI,
 			Config: fcfg,
-		})
+		}
 	}
-	for i := 0; i < cfg.TrivialContracts; i++ {
-		c := contractgen.Trivial()
-		jobs = append(jobs, campaign.Job{
-			Name:   fmt.Sprintf("trivial-%d", i),
-			Module: c.Module,
-			ABI:    c.ABI,
-			Config: fcfg,
-		})
-	}
-
-	// Memo (inherited from EvalConfig) applies to both legs: the digest
-	// gate below then also witnesses cache-on findings invariance.
-	ccfg := campaign.Config{Workers: cfg.Workers, BaseSeed: cfg.Seed, Memo: cfg.Memo, Incremental: cfg.Incremental, Verdicts: cfg.Verdicts}
-	baseline, err := campaign.Run(ctx, jobs, ccfg)
+	ccfg := campaign.Config{Workers: cfg.Workers, BaseSeed: cfg.Seed, Memo: cfg.Memo, Incremental: cfg.Incremental}
+	rep, err := campaign.Run(ctx, jobs, ccfg)
 	if err != nil {
-		return nil, fmt.Errorf("bench: triage baseline: %w", err)
-	}
-	ccfg.StaticTriage = true
-	triaged, err := campaign.Run(ctx, jobs, ccfg)
-	if err != nil {
-		return nil, fmt.Errorf("bench: triage run: %w", err)
+		return nil, fmt.Errorf("bench: triage: %w", err)
 	}
 
 	res := &TriageResult{
-		Samples:      len(jobs),
-		Skipped:      triaged.Skipped,
-		DigestMatch:  baseline.FindingsDigest() == triaged.FindingsDigest(),
-		BaselineWall: baseline.Wall,
-		TriageWall:   triaged.Wall,
-		PerClass:     map[contractgen.Class]Counts{},
+		Samples:  len(jobs),
+		Wall:     rep.Wall,
+		PerClass: map[contractgen.Class]Counts{},
 	}
-	// Score the candidate flags against the baseline's dynamic verdicts.
-	for _, jr := range baseline.Results {
+	for _, jr := range rep.Results {
 		if jr.Err != nil {
 			continue
 		}
-		rep, err := static.Analyze(jr.Job.Module)
+		srep, err := static.Analyze(jr.Job.Module)
 		if err != nil {
 			continue
 		}
 		for _, class := range contractgen.Classes {
 			c := res.PerClass[class]
-			c.Add(jr.Result.Report.Vulnerable[class], rep.Candidates[class])
+			c.Add(jr.Result.Report.Vulnerable[class], srep.Candidates[class])
 			res.PerClass[class] = c
 		}
 	}

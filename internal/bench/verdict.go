@@ -26,20 +26,16 @@ import (
 // requires zero violations either way.
 //
 // Leg 2 (precision) measures how much of the wild population the engine
-// decides statically, counted per (contract, class) verdict: every
-// non-Unknown verdict either retires a class from the dynamic budget or
-// schedules the job confirmed-first. The gate requires ≥30% of the wild
-// verdict matrix decided; Unknown-heavy analyses would make verdict triage
-// pointless. (Whole-contract skips — every class proven negative — are
-// reported too, but can only occur on intrinsic-free boilerplate now that
-// the on-chain-data scenario classes are Unknown on any db-writing
-// contract.)
+// decides statically, counted per non-Unknown (contract, class) verdict.
+// The gate requires ≥30% of the wild verdict matrix decided; an Unknown-heavy
+// analysis would make the verdict report uninformative. (Whole contracts
+// resolved — every class proven negative, or any proven positive — are
+// reported too.)
 //
-// Leg 3 (campaign differential) fuzzes the combined corpus with verdicts
-// off and on at several worker counts and requires every run's
-// FindingsDigest byte-identical to one reference. State digests are
-// deliberately not compared across the off/on pair: a verdict skip does no
-// work, so its coverage counters are zero by design.
+// Leg 3 (campaign determinism) fuzzes the combined corpus at several
+// worker counts and requires every run's FindingsDigest and StateDigest
+// byte-identical to the first run's. The verdicts are a standalone report:
+// the campaign never consults them.
 
 // VerdictConfig tunes the verdict-engine experiment.
 type VerdictConfig struct {
@@ -49,7 +45,7 @@ type VerdictConfig struct {
 	WildContracts  int
 	FuzzIterations int
 	Seed           int64
-	// WorkerCounts are the pool sizes the off/on differential runs at.
+	// WorkerCounts are the pool sizes the campaign leg runs at.
 	WorkerCounts []int
 }
 
@@ -76,17 +72,14 @@ type VerdictClassStats struct {
 	NegViolations, PosViolations int
 }
 
-// VerdictWorkerRun is the campaign leg's off/on comparison at one worker
-// count.
+// VerdictWorkerRun is the campaign leg's run at one worker count.
 type VerdictWorkerRun struct {
 	Workers int
-	// DigestMatch reports whether both runs' FindingsDigest equal the
-	// experiment-wide reference.
+	// DigestMatch reports whether the run's FindingsDigest and
+	// StateDigest equal the experiment-wide reference.
 	DigestMatch bool
-	// Skipped is how many jobs the verdicts-on run answered statically.
-	Skipped int
-	// OffWall and OnWall time the two campaign runs (reporting-only).
-	OffWall, OnWall time.Duration
+	// Wall times the campaign run (reporting-only).
+	Wall time.Duration
 }
 
 // VerdictResult aggregates the experiment.
@@ -98,8 +91,8 @@ type VerdictResult struct {
 	Total, Wild, WildResolved, WildDecided int
 	// PerClass holds the verdict and violation counts per oracle class.
 	PerClass map[contractgen.Class]*VerdictClassStats
-	// Runs holds the per-worker-count campaign differentials; DigestMatch
-	// is true when every run matched the reference findings digest.
+	// Runs holds the per-worker-count campaign runs; DigestMatch is true
+	// when every run matched the reference digests.
 	Runs        []VerdictWorkerRun
 	DigestMatch bool
 }
@@ -123,8 +116,7 @@ func (r *VerdictResult) PosViolations() int {
 }
 
 // Resolution is the decided fraction of the wild (contract, class) verdict
-// matrix: each non-Unknown verdict is static triage work the dynamic
-// campaign no longer has to do.
+// matrix: each non-Unknown verdict is a class the static report decides.
 func (r *VerdictResult) Resolution() float64 {
 	if r.Wild == 0 {
 		return 0
@@ -133,8 +125,8 @@ func (r *VerdictResult) Resolution() float64 {
 }
 
 // Passed is the acceptance gate: zero soundness violations in both
-// directions, ≥30% wild resolution, and byte-identical findings digests at
-// every worker count with verdicts off and on.
+// directions, ≥30% wild resolution, and byte-identical digests at every
+// worker count.
 func (r *VerdictResult) Passed() bool {
 	return r.DigestMatch && r.NegViolations() == 0 && r.PosViolations() == 0 &&
 		r.Resolution() >= 0.30
@@ -178,8 +170,7 @@ func EvaluateVerdict(cfg VerdictConfig) (*VerdictResult, error) {
 		res.PerClass[class] = &VerdictClassStats{}
 	}
 
-	// Static pass: one verdict report per contract (legs 1 and 2 read it;
-	// the campaign runs recompute their own through the engine's cache).
+	// Static pass: one verdict report per contract (legs 1 and 2 read it).
 	reports := make([]*absint.Report, len(samples))
 	for i, s := range samples {
 		var actions []eos.Name
@@ -231,20 +222,16 @@ func EvaluateVerdict(cfg VerdictConfig) (*VerdictResult, error) {
 		workerCounts = []int{1, 4, 8}
 	}
 
-	var refFindings string
+	var refFindings, refState string
 	for i, workers := range workerCounts {
-		off, err := campaign.Run(context.Background(), makeJobs(), campaign.Config{Workers: workers})
+		run, err := campaign.Run(context.Background(), makeJobs(), campaign.Config{Workers: workers})
 		if err != nil {
-			return nil, fmt.Errorf("bench: verdict off (workers=%d): %w", workers, err)
-		}
-		on, err := campaign.Run(context.Background(), makeJobs(), campaign.Config{Workers: workers, Verdicts: true})
-		if err != nil {
-			return nil, fmt.Errorf("bench: verdict on (workers=%d): %w", workers, err)
+			return nil, fmt.Errorf("bench: verdict campaign (workers=%d): %w", workers, err)
 		}
 		if i == 0 {
-			refFindings = off.FindingsDigest()
+			refFindings, refState = run.FindingsDigest(), run.StateDigest()
 			// Soundness leg: the first dynamic run is the oracle reference.
-			for j, jr := range off.Results {
+			for j, jr := range run.Results {
 				if jr.Err != nil {
 					return nil, fmt.Errorf("bench: verdict job %q: %w", jr.Job.Name, jr.Err)
 				}
@@ -263,17 +250,11 @@ func EvaluateVerdict(cfg VerdictConfig) (*VerdictResult, error) {
 				}
 			}
 		}
-		match := off.FindingsDigest() == refFindings && on.FindingsDigest() == refFindings
+		match := run.FindingsDigest() == refFindings && run.StateDigest() == refState
 		if !match {
 			res.DigestMatch = false
 		}
-		res.Runs = append(res.Runs, VerdictWorkerRun{
-			Workers:     workers,
-			DigestMatch: match,
-			Skipped:     on.Skipped,
-			OffWall:     off.Wall,
-			OnWall:      on.Wall,
-		})
+		res.Runs = append(res.Runs, VerdictWorkerRun{Workers: workers, DigestMatch: match, Wall: run.Wall})
 	}
 	return res, nil
 }
@@ -292,11 +273,11 @@ func RenderVerdict(r *VerdictResult) string {
 		r.WildDecided, r.Wild*len(contractgen.Classes), 100*r.Resolution(), r.WildResolved, r.Wild)
 	fmt.Fprintf(&sb, "campaign leg:\n")
 	for _, run := range r.Runs {
-		fmt.Fprintf(&sb, "  workers=%d: findings digests identical=%v, %d skipped, wall off %.2fs, on %.2fs\n",
-			run.Workers, run.DigestMatch, run.Skipped, run.OffWall.Seconds(), run.OnWall.Seconds())
+		fmt.Fprintf(&sb, "  workers=%d: digests identical=%v, wall %.2fs\n",
+			run.Workers, run.DigestMatch, run.Wall.Seconds())
 	}
 	if r.Passed() {
-		fmt.Fprintf(&sb, "verdict: PASS — zero soundness violations, %.0f%% wild resolution, byte-identical findings\n",
+		fmt.Fprintf(&sb, "verdict: PASS — zero soundness violations, %.0f%% wild resolution, byte-identical digests\n",
 			100*r.Resolution())
 	} else {
 		fmt.Fprintf(&sb, "verdict: FAIL — violations neg=%d pos=%d, resolution %.0f%% (need ≥30%%), digests identical=%v\n",

@@ -32,10 +32,6 @@ type WildConfig struct {
 	// Incremental enables the prefix-sharing incremental solver
 	// (findings are identical either way).
 	Incremental bool
-	// Verdicts enables abstract-interpretation verdict triage: jobs with
-	// all classes proven negative skip execution, proven-positive jobs
-	// schedule confirmed-first (findings are identical either way).
-	Verdicts bool
 	// Adaptive runs the sweep under the coverage-driven power schedule and
 	// campaign fuel ledger. Deterministic at any worker count, but not
 	// digest-neutral against a static sweep — it changes which inputs run.
@@ -102,7 +98,6 @@ func EvaluateWild(cfg WildConfig) (*WildResult, error) {
 		Retry:       campaign.RetryPolicy{MaxAttempts: cfg.MaxAttempts},
 		Memo:        cfg.Memo,
 		Incremental: cfg.Incremental,
-		Verdicts:    cfg.Verdicts,
 		Adaptive:    cfg.Adaptive,
 	}
 	fuzzCfg := func(i int) fuzz.Config {
@@ -232,9 +227,8 @@ func RenderWild(r *WildResult) string {
 	fmt.Fprintf(&sb, "RQ4 — vulnerabilities in the wild (%d profitable contracts)\n", r.Total)
 	fmt.Fprintf(&sb, "flagged vulnerable: %d (%.1f%%)\n", r.Flagged, 100*float64(r.Flagged)/float64(r.Total))
 	for _, cl := range contractgen.Classes {
-		fmt.Fprintf(&sb, "  %-14s %4d flagged (P=%.1f%% R=%.1f%% vs ground truth)\n",
-			cl, r.PerClass[cl],
-			100*r.PerClassAccuracy[cl].Precision(), 100*r.PerClassAccuracy[cl].Recall())
+		p, rc, _ := r.PerClassAccuracy[cl].Rates()
+		fmt.Fprintf(&sb, "  %-14s %4d flagged (P=%s R=%s vs ground truth)\n", cl, r.PerClass[cl], p, rc)
 	}
 	if r.Flagged > 0 {
 		fmt.Fprintf(&sb, "lifecycle of flagged contracts: %d still operating (%.1f%%), %d abandoned, %d patched (%d verified clean on re-analysis), %d exposed\n",

@@ -72,7 +72,6 @@ type liveJob struct {
 	jr    JobResult
 	f     *fuzz.Fuzzer     // non-nil after a successful phase 1
 	phase fuzz.PhaseReport // phase-1 summary (ledger input)
-	score int              // static triage score (ledger ranking)
 	rec   *journalRecord   // non-nil when replayed from a resume journal
 	final bool             // jr is complete; the job skips phase 2
 }
@@ -90,7 +89,6 @@ func (lj *liveJob) ledgerPhase() (schedule.JobPhase, bool) {
 			Executed:    true,
 			Saturated:   s.P1Saturated,
 			FuelUnspent: s.Unspent,
-			StaticScore: s.Score,
 			Coverage:    s.P1Coverage,
 			Iterations:  s.P1Iters,
 			MaxGrant:    lj.job.Config.Iterations,
@@ -104,7 +102,6 @@ func (lj *liveJob) ledgerPhase() (schedule.JobPhase, bool) {
 		Executed:    true,
 		Saturated:   lj.phase.Saturated,
 		FuelUnspent: lj.phase.FuelUnspent,
-		StaticScore: lj.score,
 		Coverage:    lj.phase.Coverage,
 		Iterations:  lj.phase.Iterations,
 		// A job can at most double its budget: the cap keeps one deep
@@ -120,8 +117,6 @@ type adaptiveRun struct {
 	jw       *journalWriter
 	memo     *memo.Cache
 	memoBase memo.Stats
-	triage   *triageCache
-	verdicts *verdictCache
 }
 
 // runAdaptive is Run's Config.Adaptive implementation.
@@ -134,20 +129,11 @@ func runAdaptive(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	a := &adaptiveRun{cfg: cfg, done: done, jw: jw}
 	a.memo = cfg.memoCache()
 	a.memoBase = a.memo.Snapshot()
-	if cfg.StaticTriage {
-		a.triage = newTriageCache(a.memo)
-	}
-	if cfg.Verdicts {
-		a.verdicts = newVerdictCache(a.memo)
-	}
 
 	order := make([]Job, len(jobs))
 	for i := range jobs {
 		order[i] = jobs[i]
 		order[i].ID = i
-	}
-	if a.triage != nil || a.verdicts != nil {
-		order = orderJobs(order, a.triage, a.verdicts)
 	}
 
 	bail := func(err error) (*Report, error) {
@@ -242,8 +228,8 @@ loop:
 	wg.Wait()
 }
 
-// phase1 decides a job up to the barrier: journal replay, triage and
-// verdict skips, then the retry loop around RunPhase. On success the
+// phase1 decides a job up to the barrier: journal replay, then the retry
+// loop around RunPhase. On success the
 // fuzzer stays open for phase 2.
 func (a *adaptiveRun) phase1(ctx context.Context, job Job) (lj *liveJob) {
 	start := time.Now() //wasai:nondet JobResult.Duration is reporting-only, never fed back
@@ -251,7 +237,7 @@ func (a *adaptiveRun) phase1(ctx context.Context, job Job) (lj *liveJob) {
 	lj.jr.Job = job
 	defer func() {
 		if r := recover(); r != nil {
-			// A panic outside an attempt (triage, bookkeeping) is terminal:
+			// A panic outside an attempt (bookkeeping) is terminal:
 			// attempts carry their own recovery, so this one would repeat.
 			lj.f, lj.jr.Result = nil, nil
 			lj.jr.Err = failure.Wrap(failure.Panic, &PanicError{Value: r, Stack: debug.Stack()})
@@ -266,21 +252,6 @@ func (a *adaptiveRun) phase1(ctx context.Context, job Job) (lj *liveJob) {
 		lj.rec = rec
 		lj.final = true
 		return lj
-	}
-	if a.triage != nil && skippable(job, a.triage.report(job.Module)) {
-		lj.jr = skipResult(job)
-		lj.final = true
-		return lj
-	}
-	if a.verdicts != nil && verdictSkippable(job, a.verdicts.report(job)) {
-		lj.jr = skipResult(job)
-		lj.final = true
-		return lj
-	}
-	if a.triage != nil {
-		if rep := a.triage.report(job.Module); rep != nil {
-			lj.score = rep.Score()
-		}
 	}
 
 	maxAttempts := a.cfg.Retry.maxAttempts()
@@ -450,7 +421,6 @@ func (a *adaptiveRun) record(ctx context.Context, lj *liveJob, grant int) {
 		rec.Sched.Executed = true
 		rec.Sched.P1Saturated = lj.phase.Saturated
 		rec.Sched.Unspent = lj.phase.FuelUnspent
-		rec.Sched.Score = lj.score
 		rec.Sched.P1Coverage = lj.phase.Coverage
 		rec.Sched.P1Iters = lj.phase.Iterations
 		rec.Sched.Grant = grant

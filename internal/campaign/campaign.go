@@ -71,23 +71,6 @@ type Config struct {
 	// fuzzes with BaseSeed + ID. Worker scheduling never influences the
 	// seed, which is what makes results worker-count invariant.
 	BaseSeed int64
-	// StaticTriage runs internal/static over each job's module before
-	// fuzzing: jobs whose module provably cannot trip any oracle are
-	// answered with a synthesized all-clean result (JobResult.Skipped), and
-	// Run schedules the rest highest-static-score first. Triage never
-	// changes findings — skips are provably-negative only, and reordering
-	// is invisible because seeds derive from job IDs.
-	StaticTriage bool
-	// Verdicts runs the abstract-interpretation verdict engine
-	// (internal/static/absint) over each job's module and ABI before
-	// fuzzing. Jobs with all five oracle classes proven negative are
-	// answered with the same synthesized all-clean result a StaticTriage
-	// skip produces; jobs with a proven-positive class are scheduled
-	// confirmed-first. The engine never changes findings — skips rest on
-	// machine-checked negative proofs, reordering is invisible because
-	// seeds derive from job IDs, and FindingsDigest is byte-identical with
-	// verdicts on or off at any worker count.
-	Verdicts bool
 	// Retry re-attempts failed jobs with degraded budgets (see retry.go).
 	// The zero value disables retries.
 	Retry RetryPolicy
@@ -116,7 +99,7 @@ type Config struct {
 	Memo memo.Mode
 	// MemoCache overrides the cache instance (implies Memo on). The batch
 	// facade uses it so module decoding at Submit time and the engine's
-	// solver/static tiers share one cache.
+	// solver tier share one cache.
 	MemoCache *memo.Cache
 	// Incremental enables the prefix-sharing solver pre-pass in every
 	// job's adaptive-seed stage (see symbolic.PoolOptions.Incremental).
@@ -171,12 +154,8 @@ type JobResult struct {
 	// Err is the job's failure: a setup/run error, the per-job context
 	// error on timeout, or a *PanicError when the job panicked.
 	Err error
-	// Skipped marks a job answered by static triage without execution:
-	// Result is the synthesized all-clean verdict the fuzzer would have
-	// produced (and its coverage/iteration counters are zero).
-	Skipped bool
-	// Attempts counts the tries the job consumed (0 for skipped and
-	// replayed jobs, 1 when the first try decided it).
+	// Attempts counts the tries the job consumed (0 for replayed jobs, 1
+	// when the first try decided it).
 	Attempts int
 	// DegradedMode labels the degradation the accepted attempt ran under
 	// (retry.go's Degrade* constants); empty when the job ran as
@@ -217,8 +196,6 @@ type Engine struct {
 	results  chan JobResult
 	wg       sync.WaitGroup
 	close    sync.Once
-	triage   *triageCache           // non-nil when cfg.StaticTriage
-	verdicts *verdictCache          // non-nil when cfg.Verdicts
 	done     map[int]*journalRecord // journaled outcomes to replay (resume)
 	jw       *journalWriter         // non-nil when cfg.Journal is set
 	memo     *memo.Cache            // non-nil when memoization is active
@@ -244,12 +221,6 @@ func Start(ctx context.Context, cfg Config) (*Engine, error) {
 	}
 	e.memo = cfg.memoCache()
 	e.memoBase = e.memo.Snapshot()
-	if cfg.StaticTriage {
-		e.triage = newTriageCache(e.memo)
-	}
-	if cfg.Verdicts {
-		e.verdicts = newVerdictCache(e.memo)
-	}
 	workers := cfg.workers()
 	e.wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -292,7 +263,7 @@ func (e *Engine) Close() { e.close.Do(func() { close(e.jobs) }) }
 
 // MemoCache exposes the engine's memoization cache (nil when Memo is
 // off). The batch facade decodes modules through it so the module tier is
-// shared with the solver and static tiers.
+// shared with the solver tier.
 func (e *Engine) MemoCache() *memo.Cache { return e.memo }
 
 // MemoStats returns this campaign's cache-counter delta since Start, or
@@ -310,7 +281,7 @@ func (e *Engine) MemoStats() *memo.Stats {
 // after Close once every submitted job has been delivered.
 func (e *Engine) Results() <-chan JobResult { return e.results }
 
-// runJob executes one campaign: journal replay, triage, then the
+// runJob executes one campaign: journal replay, then the
 // retry-with-degradation loop. The whole loop runs inline in the job's
 // worker — retries never reschedule — so results stay a pure function of
 // the job, not of worker count or timing.
@@ -319,7 +290,7 @@ func (e *Engine) runJob(job Job) (jr JobResult) {
 	jr.Job = job
 	defer func() {
 		if r := recover(); r != nil {
-			// A panic outside an attempt (triage, bookkeeping) is terminal:
+			// A panic outside an attempt (bookkeeping) is terminal:
 			// attempts carry their own recovery, so this one would repeat.
 			jr.Result = nil
 			jr.Err = failure.Wrap(failure.Panic, &PanicError{Value: r, Stack: debug.Stack()})
@@ -331,16 +302,6 @@ func (e *Engine) runJob(job Job) (jr JobResult) {
 
 	if rec, ok := e.done[job.ID]; ok {
 		jr = rec.toResult(job)
-		return jr
-	}
-
-	if e.triage != nil && skippable(job, e.triage.report(job.Module)) {
-		jr = skipResult(job)
-		return jr
-	}
-
-	if e.verdicts != nil && verdictSkippable(job, e.verdicts.report(job)) {
-		jr = skipResult(job)
 		return jr
 	}
 
@@ -431,20 +392,10 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 			results[jr.Job.ID] = jr
 		}
 	}()
-	order := make([]Job, len(jobs))
-	for i := range jobs {
-		order[i] = jobs[i]
-		order[i].ID = i
-	}
-	if e.triage != nil || e.verdicts != nil {
-		// Proven-positive jobs first, then highest static score
-		// (longest-job-first packing). IDs were assigned above from slice
-		// positions, so the reorder is invisible to seeds and to the
-		// results slice.
-		order = orderJobs(order, e.triage, e.verdicts)
-	}
 	var submitErr error
-	for _, job := range order {
+	for i := range jobs {
+		job := jobs[i]
+		job.ID = i
 		if submitErr = e.Submit(job); submitErr != nil {
 			break
 		}

@@ -18,8 +18,8 @@ import (
 // test was an off/on differential; the "off" side is now a pinned
 // constant, so the engine must still reproduce the reference interpreter's
 // findings and campaign state bit for bit, composed with every other
-// engine layer — memoization, static triage, the incremental solver,
-// fault-injected retries, and journal kill+resume.
+// engine layer — memoization, the incremental solver, fault-injected
+// retries, and journal kill+resume.
 
 // refDigests is a pair of pinned digests, each the SHA-256 of the
 // corresponding Report digest string.
@@ -28,7 +28,7 @@ type refDigests struct{ findings, state string }
 // Tree-walker references (FindingsDigest, StateDigest).
 var (
 	// testJobs(16, 30, 13) at BaseSeed 7, at any worker count and with
-	// memo, triage and the incremental solver layered on.
+	// memo and the incremental solver layered on.
 	refPopulation = refDigests{
 		"85db27e7f394168a84b809344285660c9a5c2d13bf3edf94ef9546990c6d6602",
 		"b506b66ad45e1723494dafe8f283c031e2acffaceb4cdf80c27406b176f6e441",
@@ -86,17 +86,17 @@ func TestFastVMDigestInvariance(t *testing.T) {
 }
 
 // TestFastVMComposesWithMemoTriageIncremental stacks cross-job
-// memoization, static triage, and the incremental solver on the engine:
-// each layer promises digest invariance, and this is the witness that the
-// promises hold together against the tree-walker's reference.
+// memoization and the incremental solver on the engine: each layer
+// promises digest invariance, and this is the witness that the promises
+// hold together against the tree-walker's reference. (Static triage, the
+// third layer the name records, no longer exists: every job fuzzes.)
 func TestFastVMComposesWithMemoTriageIncremental(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 16, 30, 13) }
 	runReference(t, mk, Config{
-		Workers:      4,
-		BaseSeed:     7,
-		Memo:         memo.ModeOn,
-		StaticTriage: true,
-		Incremental:  true,
+		Workers:     4,
+		BaseSeed:    7,
+		Memo:        memo.ModeOn,
+		Incremental: true,
 	}, refPopulation)
 }
 

@@ -13,8 +13,7 @@ import (
 // incremental_test.go holds the engine-level differential for the
 // prefix-sharing solver: Config.Incremental may only ever change solver
 // work, never digests, and must compose with every other engine layer —
-// memoization, static triage, fault-injected retries, and journal
-// kill+resume.
+// memoization, fault-injected retries, and journal kill+resume.
 
 // incrementalDigests runs the same population with the flag off and on and
 // requires both digest pairs to match.
@@ -61,16 +60,16 @@ func TestIncrementalDigestInvariance(t *testing.T) {
 }
 
 // TestIncrementalComposesWithMemoAndTriage stacks the flag on top of
-// cross-job memoization and static triage: the three layers each promise
-// digest invariance, and this is the witness that the promises hold
-// together, not just one at a time.
+// cross-job memoization: both layers promise digest invariance, and this
+// is the witness that the promises hold together, not just one at a time.
+// (Static triage, the third layer the name records, no longer exists:
+// every job fuzzes.)
 func TestIncrementalComposesWithMemoAndTriage(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 16, 30, 13) }
 	incrementalDigests(t, mk, Config{
-		Workers:      4,
-		BaseSeed:     7,
-		Memo:         memo.ModeOn,
-		StaticTriage: true,
+		Workers:  4,
+		BaseSeed: 7,
+		Memo:     memo.ModeOn,
 	})
 }
 

@@ -50,7 +50,6 @@ type journalRecord struct {
 	Name         string                `json:"name,omitempty"`
 	Err          string                `json:"err,omitempty"`
 	Failure      string                `json:"failure,omitempty"`
-	Skipped      bool                  `json:"skipped,omitempty"`
 	Attempts     int                   `json:"attempts,omitempty"`
 	DegradedMode string                `json:"degraded,omitempty"`
 	Flagged      []int                 `json:"flagged,omitempty"`
@@ -80,7 +79,6 @@ type schedRecord struct {
 	Executed    bool `json:"p1_ok,omitempty"`
 	P1Saturated bool `json:"p1_saturated,omitempty"`
 	Unspent     int  `json:"unspent,omitempty"`
-	Score       int  `json:"score,omitempty"`
 	P1Coverage  int  `json:"p1_coverage,omitempty"`
 	P1Iters     int  `json:"p1_iters,omitempty"`
 	Grant       int  `json:"grant,omitempty"`
@@ -91,7 +89,6 @@ func recordOf(jr JobResult) journalRecord {
 	rec := journalRecord{
 		ID:           jr.Job.ID,
 		Name:         jr.Job.Name,
-		Skipped:      jr.Skipped,
 		Attempts:     jr.Attempts,
 		DegradedMode: jr.DegradedMode,
 	}
@@ -140,7 +137,6 @@ func (e *replayedError) Error() string { return e.msg }
 func (rec *journalRecord) toResult(job Job) JobResult {
 	jr := JobResult{
 		Job:          job,
-		Skipped:      rec.Skipped,
 		Attempts:     rec.Attempts,
 		DegradedMode: rec.DegradedMode,
 		Replayed:     true,

@@ -52,10 +52,10 @@ func TestMemoDifferentialWorkers(t *testing.T) {
 	}
 }
 
-// TestMemoComposesWithTriageAndRetries runs the cache together with static
-// triage and the retry policy: the composed configuration must still match
-// the plain run's findings (triage legitimately changes StateDigest for
-// skipped jobs, so only FindingsDigest is compared).
+// TestMemoComposesWithTriageAndRetries runs the cache together with the
+// retry policy: the composed configuration must still match the plain
+// run's digests. (Static triage, the layer the name records, no longer
+// exists: every job fuzzes, so StateDigest is now compared too.)
 func TestMemoComposesWithTriageAndRetries(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 12, 25, 11) }
 	ref, err := Run(context.Background(), mk(), Config{Workers: 2, BaseSeed: 3})
@@ -63,17 +63,19 @@ func TestMemoComposesWithTriageAndRetries(t *testing.T) {
 		t.Fatalf("reference run: %v", err)
 	}
 	rep, err := Run(context.Background(), mk(), Config{
-		Workers:      4,
-		BaseSeed:     3,
-		Memo:         memo.ModeOn,
-		StaticTriage: true,
-		Retry:        RetryPolicy{MaxAttempts: 2},
+		Workers:  4,
+		BaseSeed: 3,
+		Memo:     memo.ModeOn,
+		Retry:    RetryPolicy{MaxAttempts: 2},
 	})
 	if err != nil {
 		t.Fatalf("composed run: %v", err)
 	}
 	if got, want := rep.FindingsDigest(), ref.FindingsDigest(); got != want {
-		t.Errorf("memo+triage+retry FindingsDigest diverged:\n got: %s\nwant: %s", got, want)
+		t.Errorf("memo+retry FindingsDigest diverged:\n got: %s\nwant: %s", got, want)
+	}
+	if got, want := rep.StateDigest(), ref.StateDigest(); got != want {
+		t.Errorf("memo+retry StateDigest diverged:\n got: %s\nwant: %s", got, want)
 	}
 }
 

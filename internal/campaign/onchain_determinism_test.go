@@ -15,8 +15,8 @@ import (
 // scenario oracles (StateTamper, OrderDep, CrossContract): their verdicts
 // ride the same digest-invariance promises as the five trace oracles. The
 // scenario driver replays fixed scripts on fresh held-block chains, so
-// nothing about worker scheduling, memoization, triage, the incremental
-// solver, or a journal kill+resume may move a scenario verdict.
+// nothing about worker scheduling, memoization, the incremental solver, or
+// a journal kill+resume may move a scenario verdict.
 
 // onchainSpecs is the deterministic spec list behind onchainJobs; job IDs
 // index into it, so runs can be scored against generator ground truth.
@@ -67,9 +67,6 @@ func checkOnchainVerdicts(t *testing.T, rep *Report) {
 		if jr.Err != nil {
 			t.Fatalf("job %q failed: %v", jr.Job.Name, jr.Err)
 		}
-		if jr.Skipped {
-			t.Fatalf("job %q skipped: scenario fixtures carry db writes and sends, no triage layer may prove them clean", jr.Job.Name)
-		}
 		spec := specs[jr.Job.ID]
 		if got := jr.Result.Report.Vulnerable[spec.Class]; got != spec.Vulnerable {
 			t.Errorf("%s: %s verdict = %v, ground truth %v", jr.Job.Name, spec.Class, got, spec.Vulnerable)
@@ -79,9 +76,8 @@ func checkOnchainVerdicts(t *testing.T, rep *Report) {
 
 // TestOnChainOracleDeterminism runs the scenario-class population at 1, 4
 // and 8 workers, plain and with every engine layer stacked (memoization,
-// candidate triage, verdict triage, incremental solver), and
-// requires byte-identical findings digests throughout — plus identical
-// state digests across worker counts of the plain configuration.
+// incremental solver), and requires byte-identical findings and state
+// digests throughout.
 func TestOnChainOracleDeterminism(t *testing.T) {
 	mk := func() []Job { return onchainJobs(t, 30) }
 	ref, err := Run(context.Background(), mk(), Config{Workers: 1, BaseSeed: 7})
@@ -102,12 +98,10 @@ func TestOnChainOracleDeterminism(t *testing.T) {
 				t.Errorf("plain StateDigest diverged:\n got: %s\nwant: %s", got, want)
 			}
 			layered, err := Run(context.Background(), mk(), Config{
-				Workers:      workers,
-				BaseSeed:     7,
-				Memo:         memo.ModeOn,
-				StaticTriage: true,
-				Verdicts:     true,
-				Incremental:  true,
+				Workers:     workers,
+				BaseSeed:    7,
+				Memo:        memo.ModeOn,
+				Incremental: true,
 			})
 			if err != nil {
 				t.Fatalf("layered run: %v", err)
@@ -115,6 +109,9 @@ func TestOnChainOracleDeterminism(t *testing.T) {
 			checkOnchainVerdicts(t, layered)
 			if got, want := layered.FindingsDigest(), ref.FindingsDigest(); got != want {
 				t.Errorf("layered FindingsDigest diverged:\n got: %s\nwant: %s", got, want)
+			}
+			if got, want := layered.StateDigest(), ref.StateDigest(); got != want {
+				t.Errorf("layered StateDigest diverged:\n got: %s\nwant: %s", got, want)
 			}
 		})
 	}
@@ -129,7 +126,6 @@ func TestOnChainOracleKillResume(t *testing.T) {
 		Workers:     4,
 		BaseSeed:    5,
 		Memo:        memo.ModeOn,
-		Verdicts:    true,
 		Incremental: true,
 	}
 	ref, err := Run(context.Background(), mk(), cfg)

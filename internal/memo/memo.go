@@ -4,12 +4,12 @@
 // concolic loop re-solves near-identical flipped-branch constraints many
 // times — within one job every coverage increase resets the attempted set,
 // and across jobs template-generated contracts repeat whole constraint
-// families — and re-decodes/re-analyzes identical modules across jobs and
-// across journal resume. The paper (§3.4.4) parallelizes constraint
+// families — and re-decodes identical modules across jobs and across
+// journal resume. The paper (§3.4.4) parallelizes constraint
 // solving because it dominates end-to-end cost; this layer removes the
 // duplicated fraction of that cost outright.
 //
-// Four tiers, all keyed by 32-byte content hashes:
+// Two tiers, both keyed by 32-byte content hashes:
 //
 //   - solver: canonicalized query -> Sat/Unsat verdict (+ canonical model),
 //     consulted by symbolic.SolvePoolCtx before DPLL. Exact (Ordered-key)
@@ -17,17 +17,12 @@
 //     Unsat only. See internal/symbolic/canon.go for why this preserves
 //     byte-identical campaign digests.
 //   - module: bytecode hash -> decoded+validated *wasm.Module.
-//   - static: module content hash -> *static.Report (nil-report sentinel
-//     for modules whose analysis failed, so failures are not re-analyzed).
-//   - verdict: module content hash + ABI action list -> *absint.Report,
-//     the abstract-interpretation three-valued verdicts campaign triage
-//     consults (a pure function of module bytes and action names).
 //
 // Determinism contract: with any Mode, at any worker count, campaign
 // FindingsDigest and StateDigest are byte-identical to a memo-off run.
 // The cache can change only how much work is done, never its outcome:
-// verdicts are semantic properties of the canonical query, modules and
-// reports are pure functions of the bytes, Unknown is never cached, and
+// verdicts are semantic properties of the canonical query, modules are
+// pure functions of the bytes, Unknown is never cached, and
 // fault-injected attempts bypass the cache entirely (enforced in
 // symbolic.SolvePoolCtx and internal/campaign). Hit/miss/eviction
 // counters are the one explicitly nondeterministic surface: concurrent
@@ -47,9 +42,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/eos"
-	"repro/internal/static"
-	"repro/internal/static/absint"
 	"repro/internal/store"
 	"repro/internal/symbolic"
 	"repro/internal/wasm"
@@ -146,10 +138,6 @@ type Stats struct {
 	SolverEvictions int64
 	ModuleHits      int64
 	ModuleMisses    int64
-	StaticHits      int64
-	StaticMisses    int64
-	VerdictHits     int64
-	VerdictMisses   int64
 	// Disk-tier counters (zero unless a store is attached). StoreHits
 	// counts lookups the memory tiers missed but the disk store answered;
 	// StoreMisses and StoreCorrupt mirror the attached store's own
@@ -169,10 +157,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		SolverEvictions: s.SolverEvictions - prev.SolverEvictions,
 		ModuleHits:      s.ModuleHits - prev.ModuleHits,
 		ModuleMisses:    s.ModuleMisses - prev.ModuleMisses,
-		StaticHits:      s.StaticHits - prev.StaticHits,
-		StaticMisses:    s.StaticMisses - prev.StaticMisses,
-		VerdictHits:     s.VerdictHits - prev.VerdictHits,
-		VerdictMisses:   s.VerdictMisses - prev.VerdictMisses,
 		StoreHits:       s.StoreHits - prev.StoreHits,
 		StoreMisses:     s.StoreMisses - prev.StoreMisses,
 		StoreCorrupt:    s.StoreCorrupt - prev.StoreCorrupt,
@@ -182,12 +166,12 @@ func (s Stats) Sub(prev Stats) Stats {
 // Hits sums hit counters across tiers (disk-store hits included: they
 // saved the same recomputation a memory hit would have).
 func (s Stats) Hits() int64 {
-	return s.SolverHits + s.SolverUnsatHits + s.ModuleHits + s.StaticHits + s.VerdictHits + s.StoreHits
+	return s.SolverHits + s.SolverUnsatHits + s.ModuleHits + s.StoreHits
 }
 
 // Misses sums miss counters across tiers.
 func (s Stats) Misses() int64 {
-	return s.SolverMisses + s.ModuleMisses + s.StaticMisses + s.VerdictMisses
+	return s.SolverMisses + s.ModuleMisses
 }
 
 // HitRate is Hits / (Hits + Misses), 0 when the cache was never consulted.
@@ -204,9 +188,9 @@ func (s Stats) HitRate() float64 {
 // exactly as before.
 func (s Stats) String() string {
 	out := fmt.Sprintf(
-		"solver hits=%d (unsat-perm %d) misses=%d evictions=%d | module hits=%d misses=%d | static hits=%d misses=%d | verdict hits=%d misses=%d | hit rate %.1f%%",
+		"solver hits=%d (unsat-perm %d) misses=%d evictions=%d | module hits=%d misses=%d | hit rate %.1f%%",
 		s.SolverHits+s.SolverUnsatHits, s.SolverUnsatHits, s.SolverMisses, s.SolverEvictions,
-		s.ModuleHits, s.ModuleMisses, s.StaticHits, s.StaticMisses, s.VerdictHits, s.VerdictMisses, 100*s.HitRate())
+		s.ModuleHits, s.ModuleMisses, 100*s.HitRate())
 	if s.StoreHits != 0 || s.StoreMisses != 0 || s.StoreCorrupt != 0 {
 		out += fmt.Sprintf(" | disk hits=%d misses=%d corrupt=%d", s.StoreHits, s.StoreMisses, s.StoreCorrupt)
 	}
@@ -217,21 +201,14 @@ func (s Stats) String() string {
 // per-tier capacity is 16 × DefaultShardCap entries.
 const DefaultShardCap = 4096
 
-// Cache is the four-tier memoization store. The zero value is not
+// Cache is the solver/module memoization store. The zero value is not
 // usable; construct with New. All methods are safe for concurrent use
 // and nil-safe (a nil *Cache behaves as memoization-off), so call sites
 // need no guards.
 type Cache struct {
-	solver   sharded[symbolic.SolverVerdict] // Ordered key -> verdict
-	unsat    sharded[struct{}]               // Sorted key -> (Unsat)
-	modules  sharded[*wasm.Module]           // bytecode hash -> module
-	reports  sharded[*static.Report]         // bytecode hash -> report (nil = analyze failed)
-	verdicts sharded[*absint.Report]         // bytecode+actions hash -> verdict report
-
-	// moduleKeys remembers the content hash of modules this cache
-	// decoded, so the static tier can key reports without re-encoding.
-	//wasai:localcache side index into the cache's own tiers, not an independent cache
-	moduleKeys sync.Map // *wasm.Module -> [32]byte
+	solver  sharded[symbolic.SolverVerdict] // Ordered key -> verdict
+	unsat   sharded[struct{}]               // Sorted key -> (Unsat)
+	modules sharded[*wasm.Module]           // bytecode hash -> module
 
 	// disk is the optional third tier (see AttachDisk): a durable,
 	// cross-process store consulted after a memory miss on the solver and
@@ -243,10 +220,6 @@ type Cache struct {
 	solverMisses    atomic.Int64
 	moduleHits      atomic.Int64
 	moduleMisses    atomic.Int64
-	staticHits      atomic.Int64
-	staticMisses    atomic.Int64
-	verdictHits     atomic.Int64
-	verdictMisses   atomic.Int64
 	storeHits       atomic.Int64
 }
 
@@ -256,15 +229,13 @@ func New() *Cache {
 	c.solver.init(DefaultShardCap)
 	c.unsat.init(DefaultShardCap)
 	c.modules.init(DefaultShardCap / 16) // modules are big; keep fewer
-	c.reports.init(DefaultShardCap / 16)
-	c.verdicts.init(DefaultShardCap / 16)
 	return c
 }
 
 // Disk-tier names inside the attached store. Only solver verdicts
 // persist: they are small, binary-stable (see encodeVerdict) and are
-// what dominates recomputation cost; module/static/verdict tiers hold
-// heavyweight pointers whose decode cost is already amortized in memory.
+// what dominates recomputation cost; the module tier holds heavyweight
+// pointers whose decode cost is already amortized in memory.
 const (
 	diskTierSolver = "solver" // Ordered key -> encodeVerdict payload
 	diskTierUnsat  = "unsat"  // Sorted key -> empty payload (Unsat marker)
@@ -316,13 +287,9 @@ func (c *Cache) Snapshot() Stats {
 		SolverHits:      c.solverHits.Load(),
 		SolverUnsatHits: c.solverUnsatHits.Load(),
 		SolverMisses:    c.solverMisses.Load(),
-		SolverEvictions: c.solver.evictions.Load() + c.unsat.evictions.Load() + c.modules.evictions.Load() + c.reports.evictions.Load() + c.verdicts.evictions.Load(),
+		SolverEvictions: c.solver.evictions.Load() + c.unsat.evictions.Load() + c.modules.evictions.Load(),
 		ModuleHits:      c.moduleHits.Load(),
 		ModuleMisses:    c.moduleMisses.Load(),
-		StaticHits:      c.staticHits.Load(),
-		StaticMisses:    c.staticMisses.Load(),
-		VerdictHits:     c.verdictHits.Load(),
-		VerdictMisses:   c.verdictMisses.Load(),
 	}
 }
 
@@ -439,92 +406,7 @@ func (c *Cache) Module(bin []byte, decode func([]byte) (*wasm.Module, error)) (*
 		return nil, err
 	}
 	c.modules.put(key, m)
-	c.moduleKeys.Store(m, key)
 	return m, nil
-}
-
-// --- static tier ------------------------------------------------------------
-
-// Static returns the static report for m, calling analyze on first
-// encounter of the module's content. A failed analysis is cached as a
-// nil report and replayed as (nil, nil) — callers already treat a nil
-// report as "no static information".
-func (c *Cache) Static(m *wasm.Module, analyze func(*wasm.Module) (*static.Report, error)) (*static.Report, error) {
-	if c == nil {
-		rep, err := analyze(m)
-		if err != nil {
-			return nil, err
-		}
-		return rep, nil
-	}
-	key, ok := c.moduleKey(m)
-	if !ok {
-		// Module content not hashable (encode failed): analyze uncached.
-		rep, err := analyze(m)
-		if err != nil {
-			return nil, err
-		}
-		return rep, nil
-	}
-	if rep, ok := c.reports.get(key); ok {
-		c.staticHits.Add(1)
-		return rep, nil
-	}
-	c.staticMisses.Add(1)
-	rep, err := analyze(m)
-	if err != nil {
-		c.reports.put(key, nil)
-		return nil, err
-	}
-	c.reports.put(key, rep)
-	return rep, nil
-}
-
-// --- verdict tier -----------------------------------------------------------
-
-// Verdict returns the abstract-interpretation verdict report for m under
-// the given ABI action list, calling analyze on first encounter of the
-// (module content, actions) pair. absint.Analyze is a pure deterministic
-// function of exactly those inputs (the absint determinism test pins it),
-// so replaying a cached report is indistinguishable from re-analyzing.
-func (c *Cache) Verdict(m *wasm.Module, actions []eos.Name, analyze func(*wasm.Module, []eos.Name) *absint.Report) *absint.Report {
-	if c == nil {
-		return analyze(m, actions)
-	}
-	mkey, ok := c.moduleKey(m)
-	if !ok {
-		return analyze(m, actions)
-	}
-	h := sha256.New()
-	h.Write(mkey[:])
-	var buf [8]byte
-	for _, a := range actions {
-		binary.LittleEndian.PutUint64(buf[:], uint64(a))
-		h.Write(buf[:])
-	}
-	var key [32]byte
-	h.Sum(key[:0])
-	if rep, ok := c.verdicts.get(key); ok {
-		c.verdictHits.Add(1)
-		return rep
-	}
-	c.verdictMisses.Add(1)
-	rep := analyze(m, actions)
-	c.verdicts.put(key, rep)
-	return rep
-}
-
-func (c *Cache) moduleKey(m *wasm.Module) ([32]byte, bool) {
-	if k, ok := c.moduleKeys.Load(m); ok {
-		return k.([32]byte), true
-	}
-	bin, err := wasm.Encode(m)
-	if err != nil {
-		return [32]byte{}, false
-	}
-	key := sha256.Sum256(bin)
-	c.moduleKeys.Store(m, key)
-	return key, true
 }
 
 // --- sharded store ----------------------------------------------------------

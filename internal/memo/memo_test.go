@@ -1,18 +1,18 @@
 package memo
 
 import (
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/contractgen"
-	"repro/internal/eos"
-	"repro/internal/static"
-	"repro/internal/static/absint"
 	"repro/internal/store"
 	"repro/internal/symbolic"
 	"repro/internal/wasm"
@@ -212,62 +212,39 @@ func TestModuleTier(t *testing.T) {
 	}
 }
 
-func TestStaticTier(t *testing.T) {
+// TestEvictedModuleCollectable pins that the cache holds a decoded module
+// only through its module tier: once FIFO eviction drops the entry, nothing
+// in the cache may keep the module reachable. A process-wide cache (Shared)
+// sees every module a long-lived daemon decodes, so any side index keyed by
+// module pointer would pin them all.
+func TestEvictedModuleCollectable(t *testing.T) {
 	c := New()
+	c.modules.init(1)
 	bin := testModuleBytes(t)
+	ref := decodeWeak(t, c, bin)
+	sum := sha256.Sum256(bin)
+	c.modules.put(key(sum[0], 1), nil) // same shard, capacity 1: evicts bin
+	if _, ok := c.modules.get(sum); ok {
+		t.Fatal("module still in the tier after eviction")
+	}
+	for i := 0; i < 4 && ref.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if ref.Value() != nil {
+		t.Error("evicted module still reachable through the cache")
+	}
+	runtime.KeepAlive(c)
+}
+
+// decodeWeak decodes bin through the module tier and returns only a weak
+// pointer to the result.
+func decodeWeak(t *testing.T, c *Cache, bin []byte) weak.Pointer[wasm.Module] {
+	t.Helper()
 	m, err := c.Module(bin, wasm.Decode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
-	analyze := func(mod *wasm.Module) (*static.Report, error) {
-		calls++
-		return static.Analyze(mod)
-	}
-	r1, err := c.Static(m, analyze)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := c.Static(m, analyze)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Errorf("analyze ran %d times, want 1", calls)
-	}
-	if r1 != r2 {
-		t.Error("cached report is not the same instance")
-	}
-	// A second decode of the same bytes returns the cached module pointer,
-	// so its report is shared too.
-	m2, err := c.Module(bin, wasm.Decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Static(m2, analyze); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Errorf("analyze re-ran for a cached module: %d calls", calls)
-	}
-	// Failed analyses are cached as nil and replayed as (nil, nil).
-	failCalls := 0
-	failing := func(mod *wasm.Module) (*static.Report, error) { failCalls++; return nil, errors.New("nope") }
-	cf := New()
-	mf, err := cf.Module(bin, wasm.Decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cf.Static(mf, failing); err == nil {
-		t.Fatal("analyze error swallowed")
-	}
-	rep, err := cf.Static(mf, failing)
-	if err != nil || rep != nil {
-		t.Fatalf("cached failure not replayed as (nil, nil): rep=%v err=%v", rep, err)
-	}
-	if failCalls != 1 {
-		t.Errorf("failed analysis re-ran: %d calls, want 1", failCalls)
-	}
+	return weak.Make(m)
 }
 
 func TestNilCacheSafe(t *testing.T) {
@@ -287,10 +264,6 @@ func TestNilCacheSafe(t *testing.T) {
 	bin := testModuleBytes(t)
 	if _, err := c.Module(bin, wasm.Decode); err != nil {
 		t.Errorf("nil cache Module: %v", err)
-	}
-	m, _ := wasm.Decode(bin)
-	if _, err := c.Static(m, static.Analyze); err != nil {
-		t.Errorf("nil cache Static: %v", err)
 	}
 }
 
@@ -318,10 +291,10 @@ func TestParseModeForMode(t *testing.T) {
 }
 
 func TestStatsSubAndString(t *testing.T) {
-	a := Stats{SolverHits: 10, SolverMisses: 4, ModuleHits: 2, StaticMisses: 1}
+	a := Stats{SolverHits: 10, SolverMisses: 4, ModuleHits: 2, ModuleMisses: 1}
 	b := Stats{SolverHits: 4, SolverMisses: 1}
 	d := a.Sub(b)
-	if d.SolverHits != 6 || d.SolverMisses != 3 || d.ModuleHits != 2 || d.StaticMisses != 1 {
+	if d.SolverHits != 6 || d.SolverMisses != 3 || d.ModuleHits != 2 || d.ModuleMisses != 1 {
 		t.Errorf("Sub: %+v", d)
 	}
 	if got := a.Hits(); got != 12 {
@@ -335,58 +308,6 @@ func TestStatsSubAndString(t *testing.T) {
 	}
 	if s := fmt.Sprint(a); s == "" {
 		t.Error("empty String")
-	}
-}
-
-func TestVerdictTier(t *testing.T) {
-	c := New()
-	bin := testModuleBytes(t)
-	m, err := c.Module(bin, wasm.Decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	actions := []eos.Name{eos.MustName("sweep"), eos.MustName("reveal")}
-	calls := 0
-	analyze := func(mod *wasm.Module, acts []eos.Name) *absint.Report {
-		calls++
-		return absint.Analyze(mod, acts)
-	}
-	r1 := c.Verdict(m, actions, analyze)
-	r2 := c.Verdict(m, actions, analyze)
-	if calls != 1 {
-		t.Errorf("analyze ran %d times, want 1", calls)
-	}
-	if r1 != r2 {
-		t.Error("cached verdict report is not the same instance")
-	}
-	// A different action list is a different key: the report must not be
-	// shared, since MissAuth quantifies over the ABI's actions.
-	_ = c.Verdict(m, []eos.Name{eos.MustName("sweep")}, analyze)
-	if calls != 2 {
-		t.Errorf("distinct action list served from cache: %d calls, want 2", calls)
-	}
-	// Content-identical module decoded again shares the cached report.
-	m2, err := c.Module(bin, wasm.Decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3 := c.Verdict(m2, actions, analyze); r3 != r1 {
-		t.Error("content-identical module did not share the cached report")
-	}
-	if calls != 2 {
-		t.Errorf("cached module re-analyzed: %d calls, want 2", calls)
-	}
-	st := c.Snapshot()
-	if st.VerdictHits != 2 || st.VerdictMisses != 2 {
-		t.Errorf("verdict counters hits=%d misses=%d, want 2/2", st.VerdictHits, st.VerdictMisses)
-	}
-	// Nil cache: pass-through.
-	var nc *Cache
-	if rep := nc.Verdict(m, actions, analyze); rep == nil {
-		t.Error("nil cache Verdict returned nil report")
-	}
-	if calls != 3 {
-		t.Errorf("nil cache did not call analyze: %d calls, want 3", calls)
 	}
 }
 

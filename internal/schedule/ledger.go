@@ -10,17 +10,13 @@ import "sort"
 type JobPhase struct {
 	// ID is the job's campaign ID (orders ties).
 	ID int
-	// Executed distinguishes jobs that actually fuzzed from replayed /
-	// triage-skipped / verdict-skipped / failed jobs, which neither donate
-	// nor receive fuel.
+	// Executed distinguishes jobs that actually fuzzed from replayed or
+	// failed jobs, which neither donate nor receive fuel.
 	Executed bool
 	// Saturated marks a job that stopped at its saturation window.
 	Saturated bool
 	// FuelUnspent is the iteration budget the job handed back.
 	FuelUnspent int
-	// StaticScore is the triage prioritisation score (primary rank key —
-	// same ordering the campaign already uses for job scheduling).
-	StaticScore int
 	// Coverage and Iterations give the observed coverage rate
 	// (Coverage/Iterations, compared by integer cross-multiplication).
 	Coverage   int
@@ -53,8 +49,8 @@ func rateLess(a, b JobPhase) bool {
 }
 
 // Reallocate is the campaign fuel ledger: saturated jobs pool their unspent
-// fuel, and still-progressing executed jobs receive it ordered by static
-// score (descending), then coverage rate (descending), then ID (ascending).
+// fuel, and still-progressing executed jobs receive it ordered by coverage
+// rate (descending), then ID (ascending).
 // When every executed job saturated, the pool second-winds back to the
 // saturated jobs under the same ranking instead of evaporating.
 // The pool splits evenly across recipients with the remainder going to the
@@ -99,9 +95,6 @@ func Reallocate(phases []JobPhase) (map[int]int, LedgerStats) {
 	}
 	sort.Slice(recipients, func(i, j int) bool {
 		a, b := recipients[i], recipients[j]
-		if a.StaticScore != b.StaticScore {
-			return a.StaticScore > b.StaticScore
-		}
 		if rateLess(a, b) != rateLess(b, a) {
 			return rateLess(b, a)
 		}

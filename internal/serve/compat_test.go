@@ -13,17 +13,30 @@ import (
 	"repro/internal/wal"
 )
 
-// legacySpec is a JobSpec as clients (and registry WALs) wrote it while
-// the decoded-IR engine was an opt-in toggle: it carries the retired
-// "fastvm" field. The engine is now unconditional, and the spec decoder
-// ignores unknown fields, so the job must run as if the field were absent.
-const legacySpec = `{"tenant":"t1","contracts":3,"seed":17,"iterations":30,"memo":"shared","fastvm":true}`
+// Legacy JobSpecs as clients (and registry WALs) wrote them while engine
+// toggles that are now retired still existed: the decoded-IR engine's
+// "fastvm" (now unconditional) and the campaign pre-analysis skips
+// "verdicts" and "static_triage" (now deleted; every job fuzzes). The spec
+// decoder ignores unknown fields, so each job must run as if the field
+// were absent.
+const (
+	legacySpec             = `{"tenant":"t1","contracts":3,"seed":17,"iterations":30,"memo":"shared","fastvm":true}`
+	legacyVerdictsSpec     = `{"tenant":"t1","contracts":3,"seed":17,"iterations":30,"memo":"shared","verdicts":true}`
+	legacyStaticTriageSpec = `{"tenant":"t1","contracts":3,"seed":17,"iterations":30,"memo":"shared","static_triage":true}`
+)
 
-// legacyReference runs the legacy spec, minus the retired field, offline.
-func legacyReference(t *testing.T) (findings, state string) {
+// legacyPreAnalysisSpecs names the specs carrying a retired pre-analysis
+// field.
+var legacyPreAnalysisSpecs = map[string]string{
+	"verdicts":      legacyVerdictsSpec,
+	"static_triage": legacyStaticTriageSpec,
+}
+
+// legacyReference runs a legacy spec, minus the retired field, offline.
+func legacyReference(t *testing.T, legacy string) (findings, state string) {
 	t.Helper()
 	var spec JobSpec
-	if err := json.Unmarshal([]byte(legacySpec), &spec); err != nil {
+	if err := json.Unmarshal([]byte(legacy), &spec); err != nil {
 		t.Fatal(err)
 	}
 	if want := (JobSpec{Tenant: "t1", Contracts: 3, Seed: 17, Iterations: 30, Memo: "shared"}); spec != want {
@@ -70,9 +83,22 @@ func requireLegacyDigests(t *testing.T, st JobState, findings, state string) {
 
 // TestLegacyFastVMSpecSubmit posts the legacy spec over HTTP.
 func TestLegacyFastVMSpecSubmit(t *testing.T) {
-	findings, state := legacyReference(t)
+	requireLegacySubmit(t, legacySpec)
+}
+
+// TestLegacyPreAnalysisSpecSubmit posts specs carrying the retired
+// "verdicts" and "static_triage" fields over HTTP.
+func TestLegacyPreAnalysisSpecSubmit(t *testing.T) {
+	for field, legacy := range legacyPreAnalysisSpecs {
+		t.Run(field, func(t *testing.T) { requireLegacySubmit(t, legacy) })
+	}
+}
+
+func requireLegacySubmit(t *testing.T, legacy string) {
+	t.Helper()
+	findings, state := legacyReference(t, legacy)
 	base := startCompatServer(t, t.TempDir())
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewBufferString(legacySpec))
+	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewBufferString(legacy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +118,20 @@ func TestLegacyFastVMSpecSubmit(t *testing.T) {
 // field was retired would have left it; the restarted daemon must replay
 // and finish the job.
 func TestLegacyFastVMSpecWALReplay(t *testing.T) {
-	findings, state := legacyReference(t)
+	requireLegacyWALReplay(t, legacySpec)
+}
+
+// TestLegacyPreAnalysisSpecWALReplay is TestLegacyFastVMSpecWALReplay for
+// the retired "verdicts" and "static_triage" fields.
+func TestLegacyPreAnalysisSpecWALReplay(t *testing.T) {
+	for field, legacy := range legacyPreAnalysisSpecs {
+		t.Run(field, func(t *testing.T) { requireLegacyWALReplay(t, legacy) })
+	}
+}
+
+func requireLegacyWALReplay(t *testing.T, legacy string) {
+	t.Helper()
+	findings, state := legacyReference(t, legacy)
 	dir := t.TempDir()
 	meta, err := json.Marshal(stateMeta{Magic: stateMagic})
 	if err != nil {
@@ -102,7 +141,7 @@ func TestLegacyFastVMSpecWALReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Append([]byte(`{"kind":"submit","id":0,"spec":` + legacySpec + `}`)); err != nil {
+	if err := log.Append([]byte(`{"kind":"submit","id":0,"spec":` + legacy + `}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {

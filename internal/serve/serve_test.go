@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -121,10 +122,54 @@ func TestSpecValidate(t *testing.T) {
 		{JobSpec{Contracts: 4, FaultRate: 1.5}, false},
 		{JobSpec{Contracts: 4, Memo: "banana"}, false},
 		{JobSpec{Contracts: 4, Memo: "shared", FaultRate: 0.2}, true},
+		{JobSpec{Contracts: 4, Iterations: maxIterations, Workers: maxWorkers, TimeoutMS: maxTimeoutMS, MaxAttempts: maxRetryBudget}, true},
+		{JobSpec{Contracts: 4, Iterations: maxIterations + 1}, false},
+		{JobSpec{Contracts: 4, Iterations: -1}, false},
+		{JobSpec{Contracts: 4, Workers: maxWorkers + 1}, false},
+		{JobSpec{Contracts: 4, Workers: -1}, false},
+		{JobSpec{Contracts: 4, TimeoutMS: maxTimeoutMS + 1}, false},
+		{JobSpec{Contracts: 4, TimeoutMS: -1}, false},
+		{JobSpec{Contracts: 4, MaxAttempts: maxRetryBudget + 1}, false},
+		{JobSpec{Contracts: 4, MaxAttempts: -1}, false},
 	} {
 		if err := tc.spec.Validate(); (err == nil) != tc.ok {
 			t.Errorf("Validate(%+v) = %v, want ok=%v", tc.spec, err, tc.ok)
 		}
+	}
+}
+
+// TestSubmitBoundsInputs checks the HTTP status of rejected submissions:
+// 400 for an out-of-range field, 413 for an oversized body. Neither may
+// reach the registry.
+func TestSubmitBoundsInputs(t *testing.T) {
+	base := startCompatServer(t, t.TempDir())
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, body := range []string{
+		`{"contracts":2,"iterations":100001}`,
+		`{"contracts":2,"workers":-3}`,
+		`{"contracts":2,"timeout_ms":3600001}`,
+		`{"contracts":2,"max_attempts":11}`,
+	} {
+		if got := post(body); got != http.StatusBadRequest {
+			t.Errorf("POST %s = %d, want 400", body, got)
+		}
+	}
+	huge := `{"contracts":2,"name":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	if got := post(huge); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST %d-byte spec = %d, want 413", len(huge), got)
+	}
+	var jobs []JobState
+	getJSON(t, base+"/jobs", &jobs)
+	if len(jobs) != 0 {
+		t.Errorf("rejected submissions reached the registry: %+v", jobs)
 	}
 }
 

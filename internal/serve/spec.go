@@ -44,10 +44,8 @@ type JobSpec struct {
 	// attempts (see internal/faultinject) — the chaos-testing surface.
 	FaultRate float64 `json:"fault_rate,omitempty"`
 	// Engine toggles; all digest-neutral.
-	Memo         string `json:"memo,omitempty"`
-	Incremental  bool   `json:"incremental,omitempty"`
-	Verdicts     bool   `json:"verdicts,omitempty"`
-	StaticTriage bool   `json:"static_triage,omitempty"`
+	Memo        string `json:"memo,omitempty"`
+	Incremental bool   `json:"incremental,omitempty"`
 	// Adaptive turns on the coverage-driven scheduling layer (power
 	// schedules + campaign fuel ledger). Not digest-neutral against a
 	// non-adaptive run — it changes which inputs are fuzzed — but still
@@ -56,14 +54,38 @@ type JobSpec struct {
 	Adaptive bool `json:"adaptive,omitempty"`
 }
 
+// Caps on the spec's numeric fields: one submission must not be able to
+// exhaust the daemon.
+const (
+	maxContracts   = 10_000
+	maxIterations  = 100_000
+	maxWorkers     = 256
+	maxTimeoutMS   = 3_600_000 // one hour per contract
+	maxRetryBudget = 10        // max_attempts
+	// maxSpecBytes bounds a POST /jobs body; a legitimate spec is a few
+	// hundred bytes.
+	maxSpecBytes = 64 << 10
+)
+
 // Validate rejects specs the daemon cannot run deterministically or that
 // would exhaust it.
 func (s *JobSpec) Validate() error {
 	if s.Contracts <= 0 {
 		return fmt.Errorf("spec: contracts must be positive") //wasai:rawerr request validation, surfaced as HTTP 400
 	}
-	if s.Contracts > 10_000 {
-		return fmt.Errorf("spec: contracts capped at 10000") //wasai:rawerr request validation, surfaced as HTTP 400
+	for _, f := range []struct {
+		name     string
+		val, max int64
+	}{
+		{"contracts", int64(s.Contracts), maxContracts},
+		{"iterations", int64(s.Iterations), maxIterations},
+		{"workers", int64(s.Workers), maxWorkers},
+		{"timeout_ms", s.TimeoutMS, maxTimeoutMS},
+		{"max_attempts", int64(s.MaxAttempts), maxRetryBudget},
+	} {
+		if f.val < 0 || f.val > f.max {
+			return fmt.Errorf("spec: %s must be in [0,%d]", f.name, f.max) //wasai:rawerr request validation, surfaced as HTTP 400
+		}
 	}
 	if s.FaultRate < 0 || s.FaultRate > 1 {
 		return fmt.Errorf("spec: fault_rate must be in [0,1]") //wasai:rawerr request validation, surfaced as HTTP 400
@@ -110,17 +132,15 @@ func BuildJobs(spec JobSpec) ([]campaign.Job, error) {
 func CampaignConfig(spec JobSpec, journal string, resume bool, cache *memo.Cache) campaign.Config {
 	mode, _ := memo.ParseMode(spec.Memo) // Validate already vetted it
 	cfg := campaign.Config{
-		Workers:      spec.Workers,
-		BaseSeed:     spec.Seed,
-		JobTimeout:   time.Duration(spec.TimeoutMS) * time.Millisecond,
-		Retry:        campaign.RetryPolicy{MaxAttempts: spec.MaxAttempts},
-		Journal:      journal,
-		Resume:       resume,
-		Memo:         mode,
-		Incremental:  spec.Incremental,
-		Verdicts:     spec.Verdicts,
-		StaticTriage: spec.StaticTriage,
-		Adaptive:     spec.Adaptive,
+		Workers:     spec.Workers,
+		BaseSeed:    spec.Seed,
+		JobTimeout:  time.Duration(spec.TimeoutMS) * time.Millisecond,
+		Retry:       campaign.RetryPolicy{MaxAttempts: spec.MaxAttempts},
+		Journal:     journal,
+		Resume:      resume,
+		Memo:        mode,
+		Incremental: spec.Incremental,
+		Adaptive:    spec.Adaptive,
 	}
 	if cache != nil && mode != memo.ModeOff {
 		cfg.MemoCache = cache

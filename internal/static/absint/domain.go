@@ -4,12 +4,12 @@
 // three-valued per-class verdicts. ProvenNegative means the dynamic oracle
 // of internal/scanner cannot fire on any execution the fuzzing harness can
 // produce; ProvenPositive means the harness will observe the class within a
-// normal fuzzing budget; everything else is Unknown and falls through to
-// dynamic analysis unchanged.
+// normal fuzzing budget; everything else is Unknown.
 //
-// The analysis never synthesizes findings and never suppresses dynamic
-// work beyond what a proof licenses: campaign findings digests are
-// byte-identical with the engine on and off (see internal/campaign).
+// The verdicts are a standalone report (wasai.AnalyzeVerdicts, `wasai
+// -verdicts`): the campaign engine never consults them, and every job
+// fuzzes. internal/bench's verdict experiment checks each proof against a
+// dynamic campaign.
 package absint
 
 import (

@@ -10,12 +10,13 @@
 // obvious or statically impossible. EOSAFE demonstrates that the same
 // vulnerability classes can be localized cheaply from Wasm bytecode alone;
 // this package computes the sound fraction of that signal (necessary
-// conditions for each dynamic oracle) and a heuristic priority score, and
-// the campaign engine uses them to skip provably-negative oracle/contract
-// pairs and to order work. Soundness contract: a candidate flag may be a
-// false positive (the fuzzer then finds nothing) but never a false negative
-// with respect to internal/scanner's trace oracles — skipping is allowed
-// only when the oracle provably cannot fire.
+// conditions for each dynamic oracle) and a heuristic priority score, as a
+// standalone report (wasai.AnalyzeStatic); the campaign engine fuzzes every
+// contract regardless. Soundness contract: a candidate flag may be a false
+// positive (the fuzzer then finds nothing) but never a false negative with
+// respect to internal/scanner's trace oracles — a clear flag is a proof the
+// oracle cannot fire. internal/bench's triage experiment checks exactly
+// this against a dynamic campaign.
 package static
 
 import (

@@ -61,8 +61,8 @@ type Report struct {
 	Actions []ActionReport
 	// Candidates maps each of the five oracle classes to its static
 	// candidate flag: false means the dynamic oracle provably cannot fire
-	// on this module (a necessary condition is absent), so a campaign may
-	// skip it; true means the class is worth fuzzing.
+	// on this module (a necessary condition is absent); true means the
+	// class is worth fuzzing.
 	Candidates map[contractgen.Class]bool
 	// Branches and Complexity total the metrics over reachable local
 	// functions — the campaign cost estimate.
@@ -98,8 +98,8 @@ var (
 // Analyze runs the full static pass: CFG per function, call graph,
 // reachability from the exported entry points, taint, and the per-class
 // candidate flags. The module should be Decode+Validate clean; malformed
-// bodies fail with an error (and the caller then falls back to dynamic
-// analysis — triage must never hide a contract it cannot model).
+// bodies fail with an error (a contract the pass cannot model has no
+// static report; it never reads as candidate-free).
 func Analyze(m *wasm.Module) (*Report, error) {
 	r := &Report{
 		NumFuncs:   m.NumFuncs(),
@@ -261,11 +261,11 @@ func (r *Report) AnyCandidate() bool {
 	return false
 }
 
-// Score is the triage priority: an estimate of how much dynamic work the
-// contract deserves. Candidate classes dominate (a contract that can
-// exhibit more oracle classes is fuzzed first), tainted sinks and branch
-// counts break ties — which doubles as longest-job-first scheduling, since
-// branchy contracts cost the fuzzer most.
+// Score is a triage priority for callers ordering a population by hand: an
+// estimate of how much dynamic work the contract deserves. Candidate
+// classes dominate (a contract that can exhibit more oracle classes ranks
+// first), tainted sinks and branch counts break ties — branchy contracts
+// cost the fuzzer most.
 func (r *Report) Score() int {
 	score := 0
 	for _, c := range candidateClasses {

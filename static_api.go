@@ -25,8 +25,7 @@ type StaticCandidate struct {
 // StaticReport is the pre-execution analysis of one contract: candidate
 // flags for the five vulnerability classes, the host APIs reachable from its
 // exported entry points, and cost metrics for scheduling. It is computed
-// from bytecode alone — no chain, no execution — and is what batch triage
-// (BatchConfig.StaticTriage) consults.
+// from bytecode alone — no chain, no execution.
 type StaticReport struct {
 	// Candidates holds one entry per vulnerability class, in the paper's
 	// table order.
@@ -57,7 +56,7 @@ func (r *StaticReport) AnyCandidate() bool {
 // AnalyzeStatic runs the static pre-analysis over a contract binary: decode,
 // validate, then internal/static's CFG + call-graph + reachability + taint
 // pass. No execution happens; use it to triage a population before paying
-// for Analyze, or let AnalyzeBatch do so via BatchConfig.StaticTriage.
+// for Analyze.
 func AnalyzeStatic(wasmBin []byte) (*StaticReport, error) {
 	mod, err := wasm.Decode(wasmBin)
 	if err != nil {
@@ -92,8 +91,7 @@ type ClassVerdict struct {
 // VerdictReport is the abstract-interpretation analysis of one contract:
 // a three-valued verdict per vulnerability class plus the prover's
 // coverage facts. Like StaticReport it is computed from bytecode alone —
-// no chain, no execution — and is what verdict triage
-// (BatchConfig.Verdicts) consults.
+// no chain, no execution.
 type VerdictReport struct {
 	// Verdicts holds one entry per vulnerability class, in the paper's
 	// table order.

@@ -38,7 +38,6 @@ import (
 	"repro/internal/fuzz"
 	"repro/internal/memo"
 	"repro/internal/scanner"
-	"repro/internal/static/absint"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/wasm"
@@ -65,9 +64,8 @@ type Config struct {
 	// flags the contract when any of its named host APIs is executed.
 	CustomAPIDetectors []APIDetector
 	// Memo selects cross-job memoization ("off"/""/default, "on",
-	// "shared"; see internal/memo): decoded modules, static reports and
-	// canonicalized solver-query verdicts are reused instead of
-	// recomputed. "on" scopes the cache to one campaign or batch,
+	// "shared"; see internal/memo): decoded modules and canonicalized
+	// solver-query verdicts are reused instead of recomputed. "on" scopes the cache to one campaign or batch,
 	// "shared" to the whole process. Memoization never changes findings;
 	// it only removes duplicated work.
 	Memo string
@@ -100,15 +98,6 @@ type Config struct {
 	// returns its unspent budget. 0 uses the engine default. Ignored unless
 	// Adaptive.
 	SaturationWindow int
-	// Verdicts runs the abstract-interpretation verdict engine
-	// (internal/static/absint) before fuzzing. A contract whose five
-	// classes are all proven negative is answered immediately with the
-	// all-clean report the campaign would have produced (its execution
-	// counters are zero); everything else fuzzes as usual. Trace capture
-	// and custom detectors disable the shortcut — proofs say nothing
-	// about them. Findings are identical on/off; see AnalyzeVerdicts for
-	// the verdicts themselves.
-	Verdicts bool
 }
 
 // APIDetector declares a custom oracle over host-API usage: the detector
@@ -214,15 +203,6 @@ func AnalyzeModule(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Report,
 				cache = memo.New() // StoreDir implies memoization
 			}
 			cache.AttachDisk(disk)
-		}
-	}
-	if cfg.Verdicts && len(customs) == 0 && cfg.TraceFile == "" {
-		if vr := cache.Verdict(mod, actionNames(contractABI), absint.Analyze); vr.AllNegative() {
-			report := &Report{Custom: map[string]bool{}}
-			for _, class := range contractgen.Classes {
-				report.Findings = append(report.Findings, Finding{Class: class.String()})
-			}
-			return report, nil
 		}
 	}
 	f, err := fuzz.New(mod, contractABI, fuzz.Config{
