@@ -15,7 +15,6 @@ import (
 	"repro/internal/memo"
 	"repro/internal/scanner"
 	"repro/internal/schedule"
-	"repro/internal/store"
 	"repro/internal/wasm"
 )
 
@@ -63,12 +62,10 @@ type BatchConfig struct {
 	// MaxAttempts retries failed contracts with degraded budgets (reduced
 	// fuel, then concrete-only fuzzing). 0 or 1 disables retries.
 	MaxAttempts int
-	// Memo is inherited from Config ("off"/"on"/"shared"): in a batch it
-	// additionally reuses decoded modules across content-identical
-	// submissions, and with "shared" the
-	// cache outlives the batch (resumed or repeated batches start warm).
-	// Findings are unchanged at any worker count; only duplicated work is
-	// skipped. (The field itself lives on the embedded Config.)
+	// StoreDir is inherited from Config: with it, the whole batch shares
+	// one solver cache in front of the disk store, so a resumed or
+	// repeated batch starts warm from disk. Findings are unchanged at any
+	// worker count; only duplicated work is skipped.
 }
 
 // DefaultBatchConfig returns the paper's per-contract configuration with
@@ -121,9 +118,9 @@ type CampaignReport struct {
 	// Wall is the batch wall-clock time; JobsPerSecond the throughput.
 	Wall          time.Duration
 	JobsPerSecond float64
-	// Memo holds the batch's cache-counter delta when memoization was
-	// active (nil when off). Reporting-only: hit counts can vary with
-	// worker scheduling, findings never do.
+	// Memo holds the batch's cache-counter delta when the batch had a
+	// cache (StoreDir set; nil otherwise). Reporting-only: hit counts can
+	// vary with worker scheduling, findings never do.
 	Memo *memo.Stats
 	// Sched totals the adaptive scheduler's counters — energy updates,
 	// composite arms fired, saturation skips, and the campaign fuel-ledger
@@ -166,7 +163,6 @@ type Campaign struct {
 	// and the two-phase driver runs at Wait.
 	ctx     context.Context
 	ccfg    campaign.Config
-	memo    *memo.Cache
 	pending []campaign.Job
 
 	mu     sync.Mutex
@@ -183,29 +179,9 @@ type Campaign struct {
 // an unopenable journal path, or a resume against a journal written under
 // a different base seed.
 func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
-	mode, err := memo.ParseMode(cfg.Memo)
+	memoCache, err := storeCache(cfg.StoreDir)
 	if err != nil {
-		return nil, fmt.Errorf("wasai: %w", err)
-	}
-	// StoreDir backs the memo with the shared disk store; it implies
-	// memoization (a private cache when Memo is off). Memo="shared" uses
-	// the per-store shared cache, never the plain process-wide one — see
-	// memo.SharedWithDisk for why attaching there would leak globally.
-	var memoCache *memo.Cache
-	if cfg.StoreDir != "" {
-		disk, err := store.OpenShared(store.Options{Dir: cfg.StoreDir})
-		if err != nil {
-			return nil, fmt.Errorf("wasai: memo store: %w", err)
-		}
-		if mode == memo.ModeShared {
-			memoCache = memo.SharedWithDisk(disk)
-		} else {
-			memoCache = memo.ForMode(mode)
-			if memoCache == nil {
-				memoCache = memo.New()
-			}
-			memoCache.AttachDisk(disk)
-		}
+		return nil, err
 	}
 	ccfg := campaign.Config{
 		Workers:          cfg.Workers,
@@ -215,28 +191,20 @@ func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
 		Journal:          cfg.Journal,
 		Resume:           cfg.Resume,
 		Retry:            campaign.RetryPolicy{MaxAttempts: cfg.MaxAttempts},
-		Memo:             mode,
 		MemoCache:        memoCache,
-		Incremental:      cfg.Incremental,
 		Adaptive:         cfg.Adaptive,
 		SaturationWindow: cfg.SaturationWindow,
 	}
 	if cfg.Adaptive {
 		// Buffered mode: the fuel ledger needs every job at a barrier, so
 		// Submit only collects and decodes; the two-phase driver runs at
-		// Wait. Submit-time module decoding shares the cache the driver
-		// will use.
-		if memoCache == nil {
-			memoCache = memo.ForMode(mode)
-			ccfg.MemoCache = memoCache
-		}
+		// Wait.
 		c := &Campaign{
 			cfg:   cfg,
 			start: time.Now(),
 			out:   make(chan BatchResult),
 			ctx:   ctx,
 			ccfg:  ccfg,
-			memo:  memoCache,
 		}
 		c.cond = sync.NewCond(&c.mu)
 		return c, nil
@@ -298,21 +266,10 @@ func (c *Campaign) Submit(job BatchJob) error {
 	mod := job.Module
 	contractABI := job.ABI
 	if mod == nil {
-		// Decode through the memo module tier (nil-safe: a plain decode
-		// when memoization is off): content-identical binaries across the
-		// batch — or across a resumed rerun with a shared cache — are
-		// decoded and validated once and share one immutable module.
 		var err error
-		mod, err = c.memoCache().Module(job.Wasm, func(bin []byte) (*wasm.Module, error) {
-			m, err := wasm.Decode(bin)
-			if err != nil {
-				return nil, err
-			}
-			if err := wasm.Validate(m); err != nil {
-				return nil, err
-			}
-			return m, nil
-		})
+		if mod, err = wasm.Decode(job.Wasm); err == nil {
+			err = wasm.Validate(mod)
+		}
 		if err != nil {
 			return failure.Wrap(failure.Decode, fmt.Errorf("wasai: batch job %d (%s): decode: %w", index, job.Name, err))
 		}
@@ -344,7 +301,6 @@ func (c *Campaign) Submit(job BatchJob) error {
 			DisableFeedback:  jcfg.DisableFeedback,
 			Seed:             seed,
 			CustomDetectors:  customs,
-			Incremental:      jcfg.Incremental,
 			Adaptive:         jcfg.Adaptive,
 			SaturationWindow: jcfg.SaturationWindow,
 		},
@@ -362,14 +318,6 @@ func (c *Campaign) Submit(job BatchJob) error {
 	}
 	c.submits++
 	return nil
-}
-
-// memoCache resolves the decode-tier cache for Submit (nil-safe when off).
-func (c *Campaign) memoCache() *memo.Cache {
-	if c.eng != nil {
-		return c.eng.MemoCache()
-	}
-	return c.memo
 }
 
 // Results streams per-contract outcomes in completion order. The channel

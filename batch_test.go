@@ -238,8 +238,12 @@ func TestBatchStoreDirWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Memo stays off: StoreDir alone must imply a (private) cache, so each
-	// batch starts with cold memory tiers and only the disk is shared.
+	if plain.Memo != nil {
+		t.Errorf("a batch without StoreDir built a cache: %+v", plain.Memo)
+	}
+
+	// StoreDir builds each batch its own cache, so each batch starts with
+	// cold memory tiers and only the disk is shared.
 	cfg.StoreDir = t.TempDir()
 	cold, err := AnalyzeBatch(context.Background(), jobs, cfg)
 	if err != nil {

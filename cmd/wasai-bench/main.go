@@ -13,23 +13,18 @@
 //	wasai-bench -exp regress -baseline BENCH_BASELINE.json
 //
 // Experiments: fig3, table4, table5, table6, rq4, all, plus chaos,
-// servechaos, memo, incr, fastvm, verdict, adaptive and regress (run
+// servechaos, memo, fastvm, verdict, onchain, adaptive and regress (run
 // explicitly; they are not part of "all"). Scale
 // multiplies the dataset sizes (1.0 reproduces the full paper-sized
 // benchmark; small scales keep the shapes at a fraction of the runtime).
 // Workers shards the per-contract campaigns across the campaign engine;
 // findings are byte-identical for any worker count.
 //
-// Memoization: -memo off|on|shared threads the cross-job cache
-// (internal/memo) through the fig3/table/rq4/triage experiments; findings
-// are byte-identical either way. -exp memo runs the cache-on/off
-// differential at worker counts 1/4/8 and exits non-zero unless digests are
-// identical and DPLL solver invocations drop ≥30%. -incremental threads the
-// prefix-sharing incremental solver (assumption solves on one shared SAT
-// instance per flip family, plus word-level simplification) through the same
-// experiments, again findings-invariant; -exp incr runs the incremental
-// on/off differential at worker counts 1/4/8 and exits non-zero unless
-// digests are identical and total CDCL conflicts drop ≥30%. -exp triage
+// Memoization: the experiments run without a solver cache, as a one-shot
+// sweep deploys. -exp memo runs the memoization differential — no cache
+// vs a fresh cache at worker counts 1/4/8 — and exits non-zero unless
+// digests are identical and the cache spares at least 30% of solver
+// queries from recomputation. -exp triage
 // scores the static candidate flags (internal/static) against one dynamic
 // campaign. -exp verdict runs the abstract-interpretation verdict gate
 // (internal/static/absint) — per-class soundness against a dynamic campaign
@@ -81,7 +76,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/memo"
 )
 
 func main() {
@@ -93,7 +87,7 @@ func main() {
 
 func run() error {
 	var (
-		exp       = flag.String("exp", "all", "experiment: fig3|table4|table5|table6|rq4|triage|chaos|servechaos|memo|incr|fastvm|verdict|onchain|adaptive|regress|all (chaos/servechaos/memo/incr/fastvm/verdict/onchain/adaptive/regress only run when named)")
+		exp       = flag.String("exp", "all", "experiment: fig3|table4|table5|table6|rq4|triage|chaos|servechaos|memo|fastvm|verdict|onchain|adaptive|regress|all (chaos/servechaos/memo/fastvm/verdict/onchain/adaptive/regress only run when named)")
 		scale     = flag.Float64("scale", 0.1, "dataset scale factor (0,1]")
 		seed      = flag.Int64("seed", 1, "generation seed")
 		iters     = flag.Int("iterations", 240, "fuzzing budget per contract")
@@ -103,20 +97,14 @@ func run() error {
 		resume    = flag.Bool("resume", false, "rq4: replay contracts already recorded in -journal instead of re-running them")
 		retries   = flag.Int("retries", 1, "max attempts per contract; attempts after the first run with degraded budgets")
 		faultRate = flag.Float64("fault-rate", 0.2, "chaos: fraction of jobs whose first attempt is faulted")
-		memoFlag  = flag.String("memo", "", "cross-job memoization: off|on|shared (empty = off); findings are identical either way")
 		baseline  = flag.String("baseline", "BENCH_BASELINE.json", "regress: committed baseline record to compare against")
 		outPath   = flag.String("out", "", "regress: where to write the fresh record (default BENCH_<date>.json)")
 		writeBase = flag.Bool("write-baseline", false, "regress: (re)write -baseline from this run instead of comparing")
-		incr      = flag.Bool("incremental", false, "incremental prefix-sharing solver for flip queries; findings are identical either way")
 		adaptive  = flag.Bool("adaptive", false, "coverage-driven power schedule + campaign fuel ledger; deterministic at any worker count but NOT digest-neutral vs a static run")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
 	)
 	flag.Parse()
-	memoMode, err := memo.ParseMode(*memoFlag)
-	if err != nil {
-		return err
-	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -148,8 +136,6 @@ func run() error {
 	evalCfg.FuzzIterations = *iters
 	evalCfg.Seed = *seed
 	evalCfg.Workers = *workers
-	evalCfg.Memo = memoMode
-	evalCfg.Incremental = *incr
 	evalCfg.Adaptive = *adaptive
 	tools := []bench.Tool{bench.ToolWASAI, bench.ToolEOSFuzzer, bench.ToolEOSAFE}
 
@@ -171,8 +157,6 @@ func run() error {
 			cfg.Seed = *seed
 			cfg.Iterations = *iters
 			cfg.Workers = *workers
-			cfg.Memo = memoMode
-			cfg.Incremental = *incr
 			cfg.Adaptive = *adaptive
 			cfg.NumContracts = int(float64(cfg.NumContracts) * *scale)
 			if cfg.NumContracts < 5 {
@@ -271,8 +255,6 @@ func run() error {
 			cfg.Journal = *journal
 			cfg.Resume = *resume
 			cfg.MaxAttempts = *retries
-			cfg.Memo = memoMode
-			cfg.Incremental = *incr
 			cfg.Adaptive = *adaptive
 			cfg.NumContracts = int(float64(cfg.NumContracts) * *scale)
 			if cfg.NumContracts < 20 {
@@ -302,27 +284,8 @@ func run() error {
 			}
 			fmt.Print(bench.RenderMemo(res))
 			if !res.Passed() {
-				return fmt.Errorf("memo experiment failed: digests identical=%v, min DPLL reduction %.1f%% (need ≥30%%)",
+				return fmt.Errorf("memo experiment failed: digests identical=%v, min recomputation cut %.1f%% (need ≥30%%)",
 					res.DigestMatch, 100*res.MinReduction())
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if *exp == "incr" {
-		if err := runExp("Incr (incremental prefix-sharing solver differential)", func() error {
-			cfg := bench.DefaultIncrConfig()
-			cfg.Seed = *seed
-			cfg.FuzzIterations = *iters
-			res, err := bench.EvaluateIncr(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.RenderIncr(res))
-			if !res.Passed() {
-				return fmt.Errorf("incr experiment failed: digests identical=%v, agreement=%v, conflict reduction %.1f%% (need ≥30%%)",
-					res.DigestMatch, res.Chain.Agreement, 100*res.Chain.Reduction())
 			}
 			return nil
 		}); err != nil {

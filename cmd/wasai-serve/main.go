@@ -84,7 +84,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := serve.NewHTTPServer(srv.Handler())
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- httpSrv.Serve(ln) }()
 	fmt.Printf("wasai-serve: listening on %s (data %s)\n", ln.Addr(), *dataDir)

@@ -34,9 +34,7 @@ func run() error {
 		demo       = flag.Bool("demo", false, "analyze a built-in demo contract instead of files")
 		traceOut   = flag.String("trace-out", "", "write the captured traces to this offline file")
 		vulnerable = flag.Bool("vulnerable", true, "demo: generate the vulnerable variant")
-		memoMode   = flag.String("memo", "", "solver memoization: off|on|shared (empty = off); findings are identical either way")
-		storeDir   = flag.String("store", "", "disk-backed memo store directory shared across runs (implies memoization); findings are identical either way")
-		incr       = flag.Bool("incremental", false, "incremental prefix-sharing solver for flip queries; findings are identical either way")
+		storeDir   = flag.String("store", "", "memoize solver verdicts in a disk store at this directory, shared across runs; findings are identical either way")
 		verdicts   = flag.Bool("verdicts", false, "print per-class static verdicts before fuzzing")
 		adaptive   = flag.Bool("adaptive", false, "coverage-driven power schedule: energy-weighted payload/action/seed selection and DBG-aware sequence mutation")
 		satWindow  = flag.Int("saturation-window", 0, "adaptive: stop after this many iterations without new coverage (0 = engine default)")
@@ -47,9 +45,7 @@ func run() error {
 	cfg.Iterations = *iterations
 	cfg.Seed = *seed
 	cfg.TraceFile = *traceOut
-	cfg.Memo = *memoMode
 	cfg.StoreDir = *storeDir
-	cfg.Incremental = *incr
 	cfg.Adaptive = *adaptive
 	cfg.SaturationWindow = *satWindow
 

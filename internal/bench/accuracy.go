@@ -11,7 +11,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/contractgen"
 	"repro/internal/fuzz"
-	"repro/internal/memo"
 )
 
 // Counts are the confusion-matrix tallies for one detector on one class.
@@ -124,13 +123,6 @@ type EvalConfig struct {
 	Seed            int64
 	// Workers bounds sample-level parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Memo selects cross-job memoization for the WASAI campaigns
-	// (off/on/shared; findings are identical either way — the cache only
-	// removes duplicated solver/decode work).
-	Memo memo.Mode
-	// Incremental enables the prefix-sharing incremental solver in the
-	// WASAI campaigns (findings are identical either way).
-	Incremental bool
 	// Adaptive runs the WASAI campaigns under the coverage-driven power
 	// schedule and fuel ledger (internal/schedule). Deterministic at any
 	// worker count, but not digest-neutral against a static run.
@@ -149,7 +141,7 @@ func DefaultEvalConfig() EvalConfig {
 // engine (each campaign owns its chain, so they are independent); WASAI
 // campaigns shard as engine jobs, the baselines through campaign.Each.
 func EvaluateAccuracy(ds *Dataset, tools []Tool, cfg EvalConfig) ([]AccuracyResult, error) {
-	engCfg := campaign.Config{Workers: cfg.Workers, Memo: cfg.Memo, Incremental: cfg.Incremental, Adaptive: cfg.Adaptive}
+	engCfg := campaign.Config{Workers: cfg.Workers, Adaptive: cfg.Adaptive}
 	results := make([]AccuracyResult, 0, len(tools))
 	for _, tool := range tools {
 		verdicts := make([]bool, len(ds.Samples))

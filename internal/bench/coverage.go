@@ -10,7 +10,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/contractgen"
 	"repro/internal/fuzz"
-	"repro/internal/memo"
 )
 
 // CoverageConfig tunes the RQ1 experiment: NumContracts "real-world-like"
@@ -24,12 +23,6 @@ type CoverageConfig struct {
 	SamplePoints int
 	// Workers bounds campaign-engine parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Memo selects cross-job memoization for the WASAI campaigns
-	// (coverage curves are identical either way).
-	Memo memo.Mode
-	// Incremental enables the prefix-sharing incremental solver
-	// (coverage curves are identical either way).
-	Incremental bool
 	// Adaptive runs the WASAI side under the coverage-driven power schedule
 	// and fuel ledger; the EOSFuzzer baseline stays static either way.
 	Adaptive bool
@@ -67,7 +60,7 @@ func EvaluateCoverage(cfg CoverageConfig) ([]CoverageSeries, error) {
 	// Both tools run on the campaign engine: WASAI campaigns as engine jobs,
 	// the baseline through campaign.Each. Per-contract series are summed
 	// serially afterwards, so the curves are worker-count invariant.
-	engCfg := campaign.Config{Workers: cfg.Workers, Memo: cfg.Memo, Incremental: cfg.Incremental, Adaptive: cfg.Adaptive}
+	engCfg := campaign.Config{Workers: cfg.Workers, Adaptive: cfg.Adaptive}
 	jobs := make([]campaign.Job, len(contracts))
 	for i, c := range contracts {
 		jobs[i] = campaign.Job{

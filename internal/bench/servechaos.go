@@ -140,7 +140,6 @@ func EvaluateServeChaos(cfg ServeChaosConfig) (*ServeChaosResult, error) {
 			Workers:     cfg.Workers,
 			FaultRate:   cfg.FaultRate,
 			MaxAttempts: cfg.MaxAttempts,
-			Memo:        "shared",
 		}
 	}
 

@@ -62,7 +62,7 @@ func EvaluateTriage(ctx context.Context, ds *Dataset, cfg EvalConfig) (*TriageRe
 			Config: fcfg,
 		}
 	}
-	ccfg := campaign.Config{Workers: cfg.Workers, BaseSeed: cfg.Seed, Memo: cfg.Memo, Incremental: cfg.Incremental}
+	ccfg := campaign.Config{Workers: cfg.Workers, BaseSeed: cfg.Seed}
 	rep, err := campaign.Run(ctx, jobs, ccfg)
 	if err != nil {
 		return nil, fmt.Errorf("bench: triage: %w", err)

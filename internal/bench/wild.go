@@ -10,7 +10,6 @@ import (
 	"repro/internal/contractgen"
 	"repro/internal/failure"
 	"repro/internal/fuzz"
-	"repro/internal/memo"
 )
 
 // WildConfig tunes the RQ4 reproduction.
@@ -26,12 +25,6 @@ type WildConfig struct {
 	Resume  bool
 	// MaxAttempts retries failed contracts with degraded budgets.
 	MaxAttempts int
-	// Memo selects cross-job memoization (off/on/shared); a resumed sweep
-	// with "shared" starts with the interrupted run's warm cache.
-	Memo memo.Mode
-	// Incremental enables the prefix-sharing incremental solver
-	// (findings are identical either way).
-	Incremental bool
 	// Adaptive runs the sweep under the coverage-driven power schedule and
 	// campaign fuel ledger. Deterministic at any worker count, but not
 	// digest-neutral against a static sweep — it changes which inputs run.
@@ -92,13 +85,11 @@ func EvaluateWild(cfg WildConfig) (*WildResult, error) {
 		PerFailure:       map[failure.Class]int{},
 	}
 	engCfg := campaign.Config{
-		Workers:     cfg.Workers,
-		Journal:     cfg.Journal,
-		Resume:      cfg.Resume,
-		Retry:       campaign.RetryPolicy{MaxAttempts: cfg.MaxAttempts},
-		Memo:        cfg.Memo,
-		Incremental: cfg.Incremental,
-		Adaptive:    cfg.Adaptive,
+		Workers:  cfg.Workers,
+		Journal:  cfg.Journal,
+		Resume:   cfg.Resume,
+		Retry:    campaign.RetryPolicy{MaxAttempts: cfg.MaxAttempts},
+		Adaptive: cfg.Adaptive,
 	}
 	fuzzCfg := func(i int) fuzz.Config {
 		return fuzz.Config{

@@ -35,7 +35,7 @@ import (
 // jobConfig resolves the effective fuzz configuration of one attempt — the
 // per-attempt derivation shared by the streaming engine and the adaptive
 // driver.
-func jobConfig(job Job, attempt int, cc Config, mc *memo.Cache) (fuzz.Config, string) {
+func jobConfig(job Job, attempt int, cc Config) (fuzz.Config, string) {
 	cfg := job.Config
 	if cfg.Seed == 0 {
 		cfg.Seed = cc.BaseSeed + int64(job.ID)
@@ -49,12 +49,7 @@ func jobConfig(job Job, attempt int, cc Config, mc *memo.Cache) (fuzz.Config, st
 		// the same rule independently): a result shaped by an injected
 		// fault must never reach the shared cache, and no hit may be
 		// served — or counted — on a faulted attempt.
-		cfg.Memo = mc.SolverMemo()
-	}
-	if cc.Incremental {
-		// Campaign-wide opt-in; the solver pool drops the pre-pass on
-		// faulted attempts so the injector's call count is unchanged.
-		cfg.Incremental = true
+		cfg.Memo = cc.MemoCache.SolverMemo()
 	}
 	if cc.Adaptive {
 		cfg.Adaptive = true
@@ -115,7 +110,6 @@ type adaptiveRun struct {
 	cfg      Config
 	done     map[int]*journalRecord
 	jw       *journalWriter
-	memo     *memo.Cache
 	memoBase memo.Stats
 }
 
@@ -126,9 +120,7 @@ func runAdaptive(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &adaptiveRun{cfg: cfg, done: done, jw: jw}
-	a.memo = cfg.memoCache()
-	a.memoBase = a.memo.Snapshot()
+	a := &adaptiveRun{cfg: cfg, done: done, jw: jw, memoBase: cfg.MemoCache.Snapshot()}
 
 	order := make([]Job, len(jobs))
 	for i := range jobs {
@@ -190,10 +182,7 @@ func runAdaptive(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	rep.Sched.FuelReturned = stats.Returned
 	rep.Sched.FuelReallocated = stats.Reallocated
 	rep.Sched.SaturatedJobs = stats.Saturated
-	if a.memo != nil {
-		d := a.memo.Snapshot().Sub(a.memoBase)
-		rep.Memo = &d
-	}
+	rep.Memo = memoSince(cfg.MemoCache, a.memoBase)
 	return rep, nil
 }
 
@@ -292,7 +281,7 @@ func (a *adaptiveRun) phase1Attempt(ctx context.Context, job Job, attempt int) (
 		defer cancel()
 	}
 	var cfg fuzz.Config
-	cfg, mode = jobConfig(job, attempt, a.cfg, a.memo)
+	cfg, mode = jobConfig(job, attempt, a.cfg)
 	f, err = fuzz.New(job.Module, job.ABI, cfg)
 	if err != nil {
 		return nil, phase, mode, fmt.Errorf("campaign: job %d (%s): %w", job.ID, job.Name, err)
@@ -382,7 +371,7 @@ func (a *adaptiveRun) fullAttempt(ctx context.Context, job Job, attempt, grant i
 		defer cancel()
 	}
 	var cfg fuzz.Config
-	cfg, mode = jobConfig(job, attempt, a.cfg, a.memo)
+	cfg, mode = jobConfig(job, attempt, a.cfg)
 	f, err := fuzz.New(job.Module, job.ABI, cfg)
 	if err != nil {
 		return nil, mode, fmt.Errorf("campaign: job %d (%s): %w", job.ID, job.Name, err)

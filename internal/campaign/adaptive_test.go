@@ -35,10 +35,10 @@ func keepJournalPrefix(t *testing.T, path string, keep int) {
 }
 
 // TestAdaptiveDigestWorkerInvariant: the adaptive campaign's digests are
-// identical at every worker count, both alone and composed with the full
-// optimization stack (shared memo and the incremental solver) — every
-// scheduling decision is a pure function of (seed, observed coverage), so
-// worker interleaving and cache hits must be invisible.
+// identical at every worker count, both alone and with one solver cache
+// shared across the runs — every scheduling decision is a pure function of
+// (seed, observed coverage), so worker interleaving and cache hits must be
+// invisible.
 func TestAdaptiveDigestWorkerInvariant(t *testing.T) {
 	const nJobs = 10
 	mk := func() []Job { return testJobs(t, nJobs, 40, 31) }
@@ -47,12 +47,7 @@ func TestAdaptiveDigestWorkerInvariant(t *testing.T) {
 		cfg  Config
 	}{
 		{"bare", Config{Adaptive: true, BaseSeed: 3}},
-		{"full-stack", Config{
-			Adaptive:    true,
-			BaseSeed:    3,
-			Memo:        memo.ModeShared,
-			Incremental: true,
-		}},
+		{"full-stack", Config{Adaptive: true, BaseSeed: 3, MemoCache: memo.New()}},
 	}
 	for _, layer := range layers {
 		t.Run(layer.name, func(t *testing.T) {

@@ -91,21 +91,13 @@ type Config struct {
 	// Faults injects the planned fault into each job attempt's chain and
 	// solver (see internal/faultinject). Nil injects nothing.
 	Faults *faultinject.Plan
-	// Memo selects the cross-job memoization scope (see internal/memo):
-	// off (default) disables caching, on gives this campaign a private
-	// cache, shared uses the process-wide cache. Memoization never
-	// changes findings — FindingsDigest and StateDigest are byte-
-	// identical with the cache on or off at any worker count.
-	Memo memo.Mode
-	// MemoCache overrides the cache instance (implies Memo on). The batch
-	// facade uses it so module decoding at Submit time and the engine's
-	// solver tier share one cache.
+	// MemoCache is the cross-job solver-verdict cache every unfaulted
+	// attempt consults (see internal/memo); nil runs without one. The
+	// deployment owns it: the daemon passes its process cache to every
+	// job, so it may outlive and span campaigns. Memoization never changes
+	// findings — FindingsDigest and StateDigest are byte-identical with
+	// or without a cache at any worker count.
 	MemoCache *memo.Cache
-	// Incremental enables the prefix-sharing solver pre-pass in every
-	// job's adaptive-seed stage (see symbolic.PoolOptions.Incremental).
-	// Findings digests are byte-identical on/off at any worker count;
-	// faulted attempts skip the pre-pass just as they skip the memo.
-	Incremental bool
 	// Adaptive enables the coverage-driven scheduling layer
 	// (internal/schedule) at both levels: every job runs the intra-job
 	// power schedule (fuzz.Config.Adaptive), and Run becomes a two-phase
@@ -120,14 +112,6 @@ type Config struct {
 	// SaturationWindow is the adaptive saturation horizon in iterations
 	// (0 uses fuzz.DefaultSaturationWindow). Ignored unless Adaptive.
 	SaturationWindow int
-}
-
-// memoCache resolves the cache the engine should use (nil = off).
-func (c Config) memoCache() *memo.Cache {
-	if c.MemoCache != nil {
-		return c.MemoCache
-	}
-	return memo.ForMode(c.Memo)
 }
 
 // workers resolves the pool size.
@@ -198,8 +182,7 @@ type Engine struct {
 	close    sync.Once
 	done     map[int]*journalRecord // journaled outcomes to replay (resume)
 	jw       *journalWriter         // non-nil when cfg.Journal is set
-	memo     *memo.Cache            // non-nil when memoization is active
-	memoBase memo.Stats             // counters at Start (delta base for shared caches)
+	memoBase memo.Stats             // cache counters at Start (delta base for shared caches)
 }
 
 // Start launches the worker pool. The context cancels every in-flight and
@@ -219,8 +202,7 @@ func Start(ctx context.Context, cfg Config) (*Engine, error) {
 		done:    done,
 		jw:      jw,
 	}
-	e.memo = cfg.memoCache()
-	e.memoBase = e.memo.Snapshot()
+	e.memoBase = cfg.MemoCache.Snapshot()
 	workers := cfg.workers()
 	e.wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -261,19 +243,17 @@ func (e *Engine) Submit(job Job) error {
 // closes. Close is idempotent.
 func (e *Engine) Close() { e.close.Do(func() { close(e.jobs) }) }
 
-// MemoCache exposes the engine's memoization cache (nil when Memo is
-// off). The batch facade decodes modules through it so the module tier is
-// shared with the solver tier.
-func (e *Engine) MemoCache() *memo.Cache { return e.memo }
-
 // MemoStats returns this campaign's cache-counter delta since Start, or
-// nil when memoization is off. Against a shared cache the delta isolates
-// this campaign's hits from other campaigns'.
-func (e *Engine) MemoStats() *memo.Stats {
-	if e.memo == nil {
+// nil when the campaign has no cache. Against a shared cache the delta
+// isolates this campaign's hits from other campaigns'.
+func (e *Engine) MemoStats() *memo.Stats { return memoSince(e.cfg.MemoCache, e.memoBase) }
+
+// memoSince is c's counter delta since base, or nil when c is nil.
+func memoSince(c *memo.Cache, base memo.Stats) *memo.Stats {
+	if c == nil {
 		return nil
 	}
-	d := e.memo.Snapshot().Sub(e.memoBase)
+	d := c.Snapshot().Sub(base)
 	return &d
 }
 
@@ -342,7 +322,7 @@ func (e *Engine) attempt(job Job, attempt int) (res *fuzz.Result, mode string, e
 		defer cancel()
 	}
 	var cfg fuzz.Config
-	cfg, mode = jobConfig(job, attempt, e.cfg, e.memo)
+	cfg, mode = jobConfig(job, attempt, e.cfg)
 	f, err := fuzz.New(job.Module, job.ABI, cfg)
 	if err != nil {
 		return nil, mode, fmt.Errorf("campaign: job %d (%s): %w", job.ID, job.Name, err)

@@ -2,151 +2,11 @@ package campaign
 
 import (
 	"context"
-	"fmt"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/faultinject"
 	"repro/internal/memo"
 )
-
-// TestMemoDifferentialWorkers is the cache layer's hard invariant: the
-// same batch run cache-off and cache-on produces byte-identical
-// FindingsDigest and StateDigest at 1, 4 and 8 workers — and the cache
-// actually absorbs work (non-zero hits, no extra solving).
-func TestMemoDifferentialWorkers(t *testing.T) {
-	mk := func() []Job { return testJobs(t, 18, 30, 42) }
-	ref, err := Run(context.Background(), mk(), Config{Workers: 1, BaseSeed: 7})
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	for _, workers := range []int{1, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			for _, mode := range []memo.Mode{memo.ModeOff, memo.ModeOn} {
-				rep, err := Run(context.Background(), mk(), Config{Workers: workers, BaseSeed: 7, Memo: mode})
-				if err != nil {
-					t.Fatalf("memo=%s: %v", mode, err)
-				}
-				if got, want := rep.FindingsDigest(), ref.FindingsDigest(); got != want {
-					t.Errorf("memo=%s FindingsDigest diverged:\n got: %s\nwant: %s", mode, got, want)
-				}
-				if got, want := rep.StateDigest(), ref.StateDigest(); got != want {
-					t.Errorf("memo=%s StateDigest diverged:\n got: %s\nwant: %s", mode, got, want)
-				}
-				if mode == memo.ModeOn {
-					if rep.Memo == nil {
-						t.Fatal("memo=on report carries no cache stats")
-					}
-					if rep.Memo.SolverHits == 0 {
-						t.Error("memo=on run recorded zero solver cache hits; nothing was memoized")
-					}
-					if rep.SolverStats.SATCalls > ref.SolverStats.SATCalls {
-						t.Errorf("memo=on did more DPLL work than off: %d > %d",
-							rep.SolverStats.SATCalls, ref.SolverStats.SATCalls)
-					}
-				} else if rep.Memo != nil {
-					t.Error("memo=off report carries cache stats")
-				}
-			}
-		})
-	}
-}
-
-// TestMemoComposesWithTriageAndRetries runs the cache together with the
-// retry policy: the composed configuration must still match the plain
-// run's digests. (Static triage, the layer the name records, no longer
-// exists: every job fuzzes, so StateDigest is now compared too.)
-func TestMemoComposesWithTriageAndRetries(t *testing.T) {
-	mk := func() []Job { return testJobs(t, 12, 25, 11) }
-	ref, err := Run(context.Background(), mk(), Config{Workers: 2, BaseSeed: 3})
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	rep, err := Run(context.Background(), mk(), Config{
-		Workers:  4,
-		BaseSeed: 3,
-		Memo:     memo.ModeOn,
-		Retry:    RetryPolicy{MaxAttempts: 2},
-	})
-	if err != nil {
-		t.Fatalf("composed run: %v", err)
-	}
-	if got, want := rep.FindingsDigest(), ref.FindingsDigest(); got != want {
-		t.Errorf("memo+retry FindingsDigest diverged:\n got: %s\nwant: %s", got, want)
-	}
-	if got, want := rep.StateDigest(), ref.StateDigest(); got != want {
-		t.Errorf("memo+retry StateDigest diverged:\n got: %s\nwant: %s", got, want)
-	}
-}
-
-// TestMemoKillResumeDigestIdentity composes the cache with the journal:
-// a memoized campaign killed mid-flight and resumed (with a fresh cache —
-// ModeOn — and again with the process-shared cache) must reproduce the
-// uninterrupted memo-off digests.
-func TestMemoKillResumeDigestIdentity(t *testing.T) {
-	const nJobs = 12
-	mk := func() []Job { return testJobs(t, nJobs, 30, 21) }
-	cfg := Config{Workers: 4, BaseSeed: 5}
-	ref, err := Run(context.Background(), mk(), cfg)
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-
-	for _, mode := range []memo.Mode{memo.ModeOn, memo.ModeShared} {
-		t.Run(string(mode), func(t *testing.T) {
-			journal := filepath.Join(t.TempDir(), "campaign.jsonl")
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			icfg := cfg
-			icfg.Journal = journal
-			icfg.Memo = mode
-			e, err := Start(ctx, icfg)
-			if err != nil {
-				t.Fatalf("Start: %v", err)
-			}
-			go func() {
-				defer e.Close()
-				jobs := mk()
-				for i := range jobs {
-					jobs[i].ID = i
-					if err := e.Submit(jobs[i]); err != nil {
-						return
-					}
-				}
-			}()
-			completed := 0
-			for jr := range e.Results() {
-				if jr.Err == nil {
-					completed++
-				}
-				if completed == 4 {
-					cancel()
-				}
-			}
-			if completed < 4 {
-				t.Fatalf("interrupted run completed only %d jobs before draining", completed)
-			}
-
-			rcfg := cfg
-			rcfg.Journal = journal
-			rcfg.Resume = true
-			rcfg.Memo = mode
-			rep, err := Run(context.Background(), mk(), rcfg)
-			if err != nil {
-				t.Fatalf("resumed run: %v", err)
-			}
-			if rep.Replayed == 0 {
-				t.Fatal("resumed run replayed nothing from the journal")
-			}
-			if got, want := rep.FindingsDigest(), ref.FindingsDigest(); got != want {
-				t.Errorf("FindingsDigest diverged after kill+resume with memo:\n got: %s\nwant: %s", got, want)
-			}
-			if got, want := rep.StateDigest(), ref.StateDigest(); got != want {
-				t.Errorf("StateDigest diverged after kill+resume with memo:\n got: %s\nwant: %s", got, want)
-			}
-		})
-	}
-}
 
 // TestFaultMemoMatrix is the fault×memo hygiene proof: for every fault
 // kind, a faulted campaign sharing a cache must (a) never read or write

@@ -15,8 +15,8 @@ import (
 // scenario oracles (StateTamper, OrderDep, CrossContract): their verdicts
 // ride the same digest-invariance promises as the five trace oracles. The
 // scenario driver replays fixed scripts on fresh held-block chains, so
-// nothing about worker scheduling, memoization, the incremental solver, or
-// a journal kill+resume may move a scenario verdict.
+// nothing about worker scheduling, memoization, or a journal kill+resume
+// may move a scenario verdict.
 
 // onchainSpecs is the deterministic spec list behind onchainJobs; job IDs
 // index into it, so runs can be scored against generator ground truth.
@@ -75,9 +75,8 @@ func checkOnchainVerdicts(t *testing.T, rep *Report) {
 }
 
 // TestOnChainOracleDeterminism runs the scenario-class population at 1, 4
-// and 8 workers, plain and with every engine layer stacked (memoization,
-// incremental solver), and requires byte-identical findings and state
-// digests throughout.
+// and 8 workers, plain and with a solver cache, and requires
+// byte-identical findings and state digests throughout.
 func TestOnChainOracleDeterminism(t *testing.T) {
 	mk := func() []Job { return onchainJobs(t, 30) }
 	ref, err := Run(context.Background(), mk(), Config{Workers: 1, BaseSeed: 7})
@@ -98,10 +97,9 @@ func TestOnChainOracleDeterminism(t *testing.T) {
 				t.Errorf("plain StateDigest diverged:\n got: %s\nwant: %s", got, want)
 			}
 			layered, err := Run(context.Background(), mk(), Config{
-				Workers:     workers,
-				BaseSeed:    7,
-				Memo:        memo.ModeOn,
-				Incremental: true,
+				Workers:   workers,
+				BaseSeed:  7,
+				MemoCache: memo.New(),
 			})
 			if err != nil {
 				t.Fatalf("layered run: %v", err)
@@ -118,58 +116,21 @@ func TestOnChainOracleDeterminism(t *testing.T) {
 }
 
 // TestOnChainOracleKillResume composes the scenario oracles with the
-// journal: a fully layered campaign killed mid-flight and resumed must
-// reproduce the uninterrupted findings digest.
+// journal: a cached campaign killed mid-flight and resumed must reproduce
+// the uninterrupted findings digest.
 func TestOnChainOracleKillResume(t *testing.T) {
 	mk := func() []Job { return onchainJobs(t, 30) }
-	cfg := Config{
-		Workers:     4,
-		BaseSeed:    5,
-		Memo:        memo.ModeOn,
-		Incremental: true,
-	}
+	cfg := Config{Workers: 4, BaseSeed: 5, MemoCache: memo.New()}
 	ref, err := Run(context.Background(), mk(), cfg)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
 	checkOnchainVerdicts(t, ref)
 
-	journal := filepath.Join(t.TempDir(), "campaign.jsonl")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	icfg := cfg
-	icfg.Journal = journal
-	e, err := Start(ctx, icfg)
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	go func() {
-		defer e.Close()
-		jobs := mk()
-		for i := range jobs {
-			jobs[i].ID = i
-			if err := e.Submit(jobs[i]); err != nil {
-				return // engine cancelled mid-submission; expected
-			}
-		}
-	}()
-	completed := 0
-	for jr := range e.Results() {
-		if jr.Err == nil {
-			completed++
-		}
-		if completed == 3 {
-			cancel()
-		}
-	}
-	if completed < 3 {
-		t.Fatalf("interrupted run completed only %d jobs before draining", completed)
-	}
-
-	rcfg := cfg
-	rcfg.Journal = journal
-	rcfg.Resume = true
-	rep, err := Run(context.Background(), mk(), rcfg)
+	cfg.Journal = filepath.Join(t.TempDir(), "campaign.jsonl")
+	killMidFlight(t, mk(), cfg, 3)
+	cfg.Resume = true
+	rep, err := Run(context.Background(), mk(), cfg)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}

@@ -64,11 +64,6 @@ type Config struct {
 	// ignores it whenever Faults is non-nil, so faulted attempts can
 	// neither poison nor be served from a shared cache.
 	Memo symbolic.SolverMemo
-	// Incremental enables the prefix-sharing solver pre-pass for the
-	// adaptive-seed flip queries (see symbolic.PoolOptions.Incremental).
-	// Findings are byte-identical on/off; the flag only trades solver
-	// work. Ignored on faulted attempts, like Memo.
-	Incremental bool
 	// Backend selects the chain personality (host-API surface, bootstrap
 	// accounts, API classification) the campaign and scenario chains run
 	// on. Nil means chain.EOSIO(), the default personality.
@@ -805,7 +800,6 @@ func (f *Fuzzer) feedback(kind payloadKind, seed Seed, params []symexec.Param, t
 		MaxConflicts: f.cfg.SolverConflicts,
 		Faults:       f.cfg.Faults,
 		Memo:         f.cfg.Memo,
-		Incremental:  f.cfg.Incremental,
 	})
 	f.solver.Stats.Queries += stats.Queries
 	f.solver.Stats.FastPathHits += stats.FastPathHits

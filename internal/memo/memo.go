@@ -1,13 +1,17 @@
 // Package memo is the cross-job memoization layer of the campaign engine:
-// a concurrency-safe, sharded, content-addressed cache shared by every job
-// in a batch (and, in shared mode, by every batch in the process). WASAI's
-// concolic loop re-solves near-identical flipped-branch constraints many
-// times — within one job every coverage increase resets the attempted set,
-// and across jobs template-generated contracts repeat whole constraint
-// families — and re-decodes identical modules across jobs and across
-// journal resume. The paper (§3.4.4) parallelizes constraint
-// solving because it dominates end-to-end cost; this layer removes the
-// duplicated fraction of that cost outright.
+// a concurrency-safe, sharded, content-addressed solver-verdict cache
+// shared by every job it is handed to. WASAI's concolic loop re-solves
+// near-identical flipped-branch constraints many times — within one job
+// every coverage increase resets the attempted set, and across jobs
+// template-generated contracts repeat whole constraint families. The
+// paper (§3.4.4) parallelizes constraint solving because it dominates
+// end-to-end cost; this layer removes the duplicated fraction of that
+// cost outright.
+//
+// The deployment decides the scope, not an option: a long-lived daemon
+// hands one cache to every job it runs, a facade campaign with a disk
+// store builds one for that campaign, and every other run has none (a nil
+// *Cache is memoization-off).
 //
 // Two tiers, both keyed by 32-byte content hashes:
 //
@@ -16,14 +20,14 @@
 //     hits replay verdict and model; permutation (Sorted-key) hits serve
 //     Unsat only. See internal/symbolic/canon.go for why this preserves
 //     byte-identical campaign digests.
-//   - module: bytecode hash -> decoded+validated *wasm.Module.
+//   - disk (optional, see AttachDisk): the durable store under the solver
+//     tier, shared across processes and restarts.
 //
-// Determinism contract: with any Mode, at any worker count, campaign
-// FindingsDigest and StateDigest are byte-identical to a memo-off run.
-// The cache can change only how much work is done, never its outcome:
-// verdicts are semantic properties of the canonical query, modules are
-// pure functions of the bytes, Unknown is never cached, and
-// fault-injected attempts bypass the cache entirely (enforced in
+// Determinism contract: with or without a cache, at any worker count,
+// campaign FindingsDigest and StateDigest are byte-identical. The cache
+// can change only how much work is done, never its outcome: verdicts are
+// semantic properties of the canonical query, Unknown is never cached,
+// and fault-injected attempts bypass the cache entirely (enforced in
 // symbolic.SolvePoolCtx and internal/campaign). Hit/miss/eviction
 // counters are the one explicitly nondeterministic surface: concurrent
 // workers can miss on the same key simultaneously, so counts may vary by
@@ -36,7 +40,6 @@
 package memo
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -44,89 +47,7 @@ import (
 
 	"repro/internal/store"
 	"repro/internal/symbolic"
-	"repro/internal/wasm"
 )
-
-// Mode selects the cache scope for a campaign.
-type Mode string
-
-// Cache scopes. Off disables memoization; On gives the campaign a fresh
-// private cache; Shared uses one process-wide cache across campaigns
-// (batches of batches, e.g. bench experiments or resumed runs).
-const (
-	ModeOff    Mode = "off"
-	ModeOn     Mode = "on"
-	ModeShared Mode = "shared"
-)
-
-// ParseMode parses a Mode ("" means off).
-func ParseMode(s string) (Mode, error) {
-	switch Mode(s) {
-	case "", ModeOff:
-		return ModeOff, nil
-	case ModeOn:
-		return ModeOn, nil
-	case ModeShared:
-		return ModeShared, nil
-	default:
-		//wasai:rawerr flag-validation error surfaced to the CLI, never reaches the failure classifier
-		return ModeOff, fmt.Errorf("memo: unknown mode %q (want off, on or shared)", s)
-	}
-}
-
-// ForMode returns the cache a campaign with this mode should use: nil for
-// off, a fresh cache for on, the process-wide cache for shared.
-func ForMode(m Mode) *Cache {
-	switch m {
-	case ModeOn:
-		return New()
-	case ModeShared:
-		return Shared()
-	default:
-		return nil
-	}
-}
-
-var (
-	sharedOnce sync.Once
-	shared     *Cache
-)
-
-// Shared returns the process-wide cache (created on first use).
-func Shared() *Cache {
-	sharedOnce.Do(func() { shared = New() })
-	return shared
-}
-
-var (
-	sharedDiskMu sync.Mutex
-	//wasai:localcache registry of shared caches by disk store, not a data cache
-	sharedDisk = map[*store.Store]*Cache{}
-)
-
-// SharedWithDisk returns the process-wide cache bound to the given disk
-// store (created on first use, one cache per store). The plain Shared()
-// cache never gains a disk tier: attaching one there would be a global
-// side effect — later Memo="shared" campaigns without a StoreDir would
-// silently keep using the disk, and a campaign with a different StoreDir
-// would swap the shared cache's durable tier under everyone. Keying by
-// store (store.OpenShared already dedupes handles by directory) keeps
-// "shared" semantics among campaigns that share a directory and full
-// isolation from everything else. A nil store is the plain Shared cache.
-func SharedWithDisk(d *store.Store) *Cache {
-	if d == nil {
-		return Shared()
-	}
-	sharedDiskMu.Lock()
-	defer sharedDiskMu.Unlock()
-	c, ok := sharedDisk[d]
-	if !ok {
-		c = New()
-		c.AttachDisk(d)
-		sharedDisk[d] = c
-	}
-	return c
-}
 
 // Stats are cumulative cache counters. Counters are reporting-only: they
 // never influence analysis results (see the package comment for why hit
@@ -136,10 +57,8 @@ type Stats struct {
 	SolverUnsatHits int64 // Sorted-key Unsat replays
 	SolverMisses    int64
 	SolverEvictions int64
-	ModuleHits      int64
-	ModuleMisses    int64
 	// Disk-tier counters (zero unless a store is attached). StoreHits
-	// counts lookups the memory tiers missed but the disk store answered;
+	// counts lookups the memory tier missed but the disk store answered;
 	// StoreMisses and StoreCorrupt mirror the attached store's own
 	// counters (corrupt reads degrade to misses, never to answers).
 	StoreHits    int64
@@ -155,8 +74,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		SolverUnsatHits: s.SolverUnsatHits - prev.SolverUnsatHits,
 		SolverMisses:    s.SolverMisses - prev.SolverMisses,
 		SolverEvictions: s.SolverEvictions - prev.SolverEvictions,
-		ModuleHits:      s.ModuleHits - prev.ModuleHits,
-		ModuleMisses:    s.ModuleMisses - prev.ModuleMisses,
 		StoreHits:       s.StoreHits - prev.StoreHits,
 		StoreMisses:     s.StoreMisses - prev.StoreMisses,
 		StoreCorrupt:    s.StoreCorrupt - prev.StoreCorrupt,
@@ -166,12 +83,12 @@ func (s Stats) Sub(prev Stats) Stats {
 // Hits sums hit counters across tiers (disk-store hits included: they
 // saved the same recomputation a memory hit would have).
 func (s Stats) Hits() int64 {
-	return s.SolverHits + s.SolverUnsatHits + s.ModuleHits + s.StoreHits
+	return s.SolverHits + s.SolverUnsatHits + s.StoreHits
 }
 
-// Misses sums miss counters across tiers.
+// Misses counts lookups no tier answered.
 func (s Stats) Misses() int64 {
-	return s.SolverMisses + s.ModuleMisses
+	return s.SolverMisses
 }
 
 // HitRate is Hits / (Hits + Misses), 0 when the cache was never consulted.
@@ -188,29 +105,28 @@ func (s Stats) HitRate() float64 {
 // exactly as before.
 func (s Stats) String() string {
 	out := fmt.Sprintf(
-		"solver hits=%d (unsat-perm %d) misses=%d evictions=%d | module hits=%d misses=%d | hit rate %.1f%%",
+		"solver hits=%d (unsat-perm %d) misses=%d evictions=%d | hit rate %.1f%%",
 		s.SolverHits+s.SolverUnsatHits, s.SolverUnsatHits, s.SolverMisses, s.SolverEvictions,
-		s.ModuleHits, s.ModuleMisses, 100*s.HitRate())
+		100*s.HitRate())
 	if s.StoreHits != 0 || s.StoreMisses != 0 || s.StoreCorrupt != 0 {
 		out += fmt.Sprintf(" | disk hits=%d misses=%d corrupt=%d", s.StoreHits, s.StoreMisses, s.StoreCorrupt)
 	}
 	return out
 }
 
-// DefaultShardCap bounds each of the 16 shards of each tier; the
+// DefaultShardCap bounds each of the 16 shards of each memory tier; the
 // per-tier capacity is 16 × DefaultShardCap entries.
 const DefaultShardCap = 4096
 
-// Cache is the solver/module memoization store. The zero value is not
+// Cache is the solver-verdict memoization store. The zero value is not
 // usable; construct with New. All methods are safe for concurrent use
 // and nil-safe (a nil *Cache behaves as memoization-off), so call sites
 // need no guards.
 type Cache struct {
-	solver  sharded[symbolic.SolverVerdict] // Ordered key -> verdict
-	unsat   sharded[struct{}]               // Sorted key -> (Unsat)
-	modules sharded[*wasm.Module]           // bytecode hash -> module
+	solver sharded[symbolic.SolverVerdict] // Ordered key -> verdict
+	unsat  sharded[struct{}]               // Sorted key -> (Unsat)
 
-	// disk is the optional third tier (see AttachDisk): a durable,
+	// disk is the optional durable tier (see AttachDisk): a durable,
 	// cross-process store consulted after a memory miss on the solver and
 	// unsat tiers, and written through on Store.
 	disk atomic.Pointer[store.Store]
@@ -218,8 +134,6 @@ type Cache struct {
 	solverHits      atomic.Int64
 	solverUnsatHits atomic.Int64
 	solverMisses    atomic.Int64
-	moduleHits      atomic.Int64
-	moduleMisses    atomic.Int64
 	storeHits       atomic.Int64
 }
 
@@ -228,14 +142,12 @@ func New() *Cache {
 	c := &Cache{}
 	c.solver.init(DefaultShardCap)
 	c.unsat.init(DefaultShardCap)
-	c.modules.init(DefaultShardCap / 16) // modules are big; keep fewer
 	return c
 }
 
-// Disk-tier names inside the attached store. Only solver verdicts
-// persist: they are small, binary-stable (see encodeVerdict) and are
-// what dominates recomputation cost; the module tier holds heavyweight
-// pointers whose decode cost is already amortized in memory.
+// Disk-tier names inside the attached store: solver verdicts are small,
+// binary-stable (see encodeVerdict) and are what dominates recomputation
+// cost.
 const (
 	diskTierSolver = "solver" // Ordered key -> encodeVerdict payload
 	diskTierUnsat  = "unsat"  // Sorted key -> empty payload (Unsat marker)
@@ -287,9 +199,7 @@ func (c *Cache) Snapshot() Stats {
 		SolverHits:      c.solverHits.Load(),
 		SolverUnsatHits: c.solverUnsatHits.Load(),
 		SolverMisses:    c.solverMisses.Load(),
-		SolverEvictions: c.solver.evictions.Load() + c.unsat.evictions.Load() + c.modules.evictions.Load(),
-		ModuleHits:      c.moduleHits.Load(),
-		ModuleMisses:    c.moduleMisses.Load(),
+		SolverEvictions: c.solver.evictions.Load() + c.unsat.evictions.Load(),
 	}
 }
 
@@ -384,29 +294,6 @@ func decodeVerdict(raw []byte) (symbolic.SolverVerdict, bool) {
 		}
 	}
 	return v, true
-}
-
-// --- module tier ------------------------------------------------------------
-
-// Module returns the decoded module for bin, calling decode on first
-// encounter of these bytes. Only successful decodes are cached; decode
-// must be pure (wasm.Decode+Validate is).
-func (c *Cache) Module(bin []byte, decode func([]byte) (*wasm.Module, error)) (*wasm.Module, error) {
-	if c == nil {
-		return decode(bin)
-	}
-	key := sha256.Sum256(bin)
-	if m, ok := c.modules.get(key); ok {
-		c.moduleHits.Add(1)
-		return m, nil
-	}
-	c.moduleMisses.Add(1)
-	m, err := decode(bin)
-	if err != nil {
-		return nil, err
-	}
-	c.modules.put(key, m)
-	return m, nil
 }
 
 // --- sharded store ----------------------------------------------------------

@@ -1,21 +1,15 @@
 package memo
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
-	"weak"
 
-	"repro/internal/contractgen"
 	"repro/internal/store"
 	"repro/internal/symbolic"
-	"repro/internal/wasm"
 )
 
 func key(shardByte byte, n int) [32]byte {
@@ -159,94 +153,6 @@ func TestUnknownNeverStored(t *testing.T) {
 	}
 }
 
-func testModuleBytes(t *testing.T) []byte {
-	t.Helper()
-	c, err := contractgen.Generate(contractgen.Spec{Class: contractgen.ClassFakeEOS, Vulnerable: true, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin, err := wasm.Encode(c.Module)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bin
-}
-
-func TestModuleTier(t *testing.T) {
-	c := New()
-	bin := testModuleBytes(t)
-	calls := 0
-	decode := func(b []byte) (*wasm.Module, error) {
-		calls++
-		return wasm.Decode(b)
-	}
-	m1, err := c.Module(bin, decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := c.Module(bin, decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Errorf("decode ran %d times, want 1", calls)
-	}
-	if m1 != m2 {
-		t.Error("cached module is not the same instance")
-	}
-	// Failed decodes are not cached.
-	failCalls := 0
-	fail := func(b []byte) (*wasm.Module, error) { failCalls++; return nil, errors.New("boom") }
-	if _, err := c.Module([]byte("junk"), fail); err == nil {
-		t.Fatal("decode error swallowed")
-	}
-	if _, err := c.Module([]byte("junk"), fail); err == nil {
-		t.Fatal("decode error swallowed on second call")
-	}
-	if failCalls != 2 {
-		t.Errorf("failed decode was cached: %d calls, want 2", failCalls)
-	}
-	st := c.Snapshot()
-	if st.ModuleHits != 1 || st.ModuleMisses != 3 {
-		t.Errorf("module counters: %+v", st)
-	}
-}
-
-// TestEvictedModuleCollectable pins that the cache holds a decoded module
-// only through its module tier: once FIFO eviction drops the entry, nothing
-// in the cache may keep the module reachable. A process-wide cache (Shared)
-// sees every module a long-lived daemon decodes, so any side index keyed by
-// module pointer would pin them all.
-func TestEvictedModuleCollectable(t *testing.T) {
-	c := New()
-	c.modules.init(1)
-	bin := testModuleBytes(t)
-	ref := decodeWeak(t, c, bin)
-	sum := sha256.Sum256(bin)
-	c.modules.put(key(sum[0], 1), nil) // same shard, capacity 1: evicts bin
-	if _, ok := c.modules.get(sum); ok {
-		t.Fatal("module still in the tier after eviction")
-	}
-	for i := 0; i < 4 && ref.Value() != nil; i++ {
-		runtime.GC()
-	}
-	if ref.Value() != nil {
-		t.Error("evicted module still reachable through the cache")
-	}
-	runtime.KeepAlive(c)
-}
-
-// decodeWeak decodes bin through the module tier and returns only a weak
-// pointer to the result.
-func decodeWeak(t *testing.T, c *Cache, bin []byte) weak.Pointer[wasm.Module] {
-	t.Helper()
-	m, err := c.Module(bin, wasm.Decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return weak.Make(m)
-}
-
 func TestNilCacheSafe(t *testing.T) {
 	var c *Cache
 	if c.SolverMemo() != nil {
@@ -261,47 +167,20 @@ func TestNilCacheSafe(t *testing.T) {
 		t.Error("nil cache hit")
 	}
 	c.Store(q, symbolic.SolverVerdict{Result: symbolic.Sat})
-	bin := testModuleBytes(t)
-	if _, err := c.Module(bin, wasm.Decode); err != nil {
-		t.Errorf("nil cache Module: %v", err)
-	}
-}
-
-func TestParseModeForMode(t *testing.T) {
-	for in, want := range map[string]Mode{"": ModeOff, "off": ModeOff, "on": ModeOn, "shared": ModeShared} {
-		got, err := ParseMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Error("ParseMode accepted bogus mode")
-	}
-	if ForMode(ModeOff) != nil {
-		t.Error("ForMode(off) != nil")
-	}
-	a, b := ForMode(ModeOn), ForMode(ModeOn)
-	if a == nil || a == b {
-		t.Error("ForMode(on) must return fresh private caches")
-	}
-	s1, s2 := ForMode(ModeShared), ForMode(ModeShared)
-	if s1 == nil || s1 != s2 {
-		t.Error("ForMode(shared) must return the process singleton")
-	}
 }
 
 func TestStatsSubAndString(t *testing.T) {
-	a := Stats{SolverHits: 10, SolverMisses: 4, ModuleHits: 2, ModuleMisses: 1}
+	a := Stats{SolverHits: 10, SolverUnsatHits: 1, SolverMisses: 4, StoreHits: 2}
 	b := Stats{SolverHits: 4, SolverMisses: 1}
 	d := a.Sub(b)
-	if d.SolverHits != 6 || d.SolverMisses != 3 || d.ModuleHits != 2 || d.ModuleMisses != 1 {
+	if d.SolverHits != 6 || d.SolverUnsatHits != 1 || d.SolverMisses != 3 || d.StoreHits != 2 {
 		t.Errorf("Sub: %+v", d)
 	}
-	if got := a.Hits(); got != 12 {
-		t.Errorf("Hits = %d, want 12", got)
+	if got := a.Hits(); got != 13 {
+		t.Errorf("Hits = %d, want 13", got)
 	}
-	if got := a.Misses(); got != 5 {
-		t.Errorf("Misses = %d, want 5", got)
+	if got := a.Misses(); got != 4 {
+		t.Errorf("Misses = %d, want 4", got)
 	}
 	if r := (Stats{}).HitRate(); r != 0 {
 		t.Errorf("empty HitRate = %v, want 0", r)
@@ -459,39 +338,5 @@ func TestAttachDiskNilSafe(t *testing.T) {
 	c2.Store(q, symbolic.VerdictOf(q, symbolic.Model{"x": 9}, symbolic.Sat))
 	if _, ok := c2.Lookup(q); !ok {
 		t.Fatal("detached cache lost its memory tier")
-	}
-}
-
-// TestSharedWithDisk: the per-store shared-cache registry. The plain
-// Shared() cache must never gain a disk tier as a side effect — a
-// Memo="shared" campaign with a StoreDir would otherwise leak its disk
-// store into every later shared campaign (and a second StoreDir would
-// swap the tier under running ones).
-func TestSharedWithDisk(t *testing.T) {
-	d1 := openTestStore(t, t.TempDir())
-	d2 := openTestStore(t, t.TempDir())
-
-	c1 := SharedWithDisk(d1)
-	if c1 == Shared() {
-		t.Fatal("SharedWithDisk returned the plain shared cache")
-	}
-	if c1.Disk() != d1 {
-		t.Fatal("SharedWithDisk cache not bound to its store")
-	}
-	if Shared().Disk() != nil {
-		t.Fatal("plain shared cache gained a disk tier")
-	}
-	if again := SharedWithDisk(d1); again != c1 {
-		t.Fatal("SharedWithDisk is not stable per store")
-	}
-	c2 := SharedWithDisk(d2)
-	if c2 == c1 {
-		t.Fatal("two stores share one cache: a second StoreDir would swap the first's tier")
-	}
-	if c1.Disk() != d1 || c2.Disk() != d2 {
-		t.Fatalf("disk bindings crossed: c1=%p c2=%p", c1.Disk(), c2.Disk())
-	}
-	if SharedWithDisk(nil) != Shared() {
-		t.Fatal("SharedWithDisk(nil) must be the plain shared cache")
 	}
 }

@@ -47,7 +47,6 @@ func TestAdmissionSaturation(t *testing.T) {
 			Iterations:  40,
 			FaultRate:   0.2,
 			MaxAttempts: 3,
-			Memo:        "shared",
 		}
 	}
 

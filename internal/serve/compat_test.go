@@ -15,10 +15,12 @@ import (
 
 // Legacy JobSpecs as clients (and registry WALs) wrote them while engine
 // toggles that are now retired still existed: the decoded-IR engine's
-// "fastvm" (now unconditional) and the campaign pre-analysis skips
-// "verdicts" and "static_triage" (now deleted; every job fuzzes). The spec
-// decoder ignores unknown fields, so each job must run as if the field
-// were absent.
+// "fastvm" (now unconditional), the campaign pre-analysis skips
+// "verdicts" and "static_triage" (now deleted; every job fuzzes), the
+// solver pre-pass's "incremental" (now unconditional) and the memo scope
+// "memo" (still decoded, but ignored: every daemon job uses the daemon's
+// cache). The spec decoder ignores unknown fields, so each job must run as
+// if the field were absent.
 const (
 	legacySpec             = `{"tenant":"t1","contracts":3,"seed":17,"iterations":30,"memo":"shared","fastvm":true}`
 	legacyVerdictsSpec     = `{"tenant":"t1","contracts":3,"seed":17,"iterations":30,"memo":"shared","verdicts":true}`
@@ -32,14 +34,25 @@ var legacyPreAnalysisSpecs = map[string]string{
 	"static_triage": legacyStaticTriageSpec,
 }
 
-// legacyReference runs a legacy spec, minus the retired field, offline.
+// legacySolverSpecs names the specs carrying a retired solver or memo
+// toggle.
+var legacySolverSpecs = map[string]string{
+	"incremental": `{"tenant":"t1","contracts":3,"seed":17,"iterations":30,"incremental":true}`,
+	"memo=off":    `{"tenant":"t1","contracts":3,"seed":17,"iterations":30,"memo":"off"}`,
+	"memo=on":     `{"tenant":"t1","contracts":3,"seed":17,"iterations":30,"memo":"on"}`,
+	"memo=shared": `{"tenant":"t1","contracts":3,"seed":17,"iterations":30,"memo":"shared"}`,
+}
+
+// legacyReference runs a legacy spec offline, minus the retired field and
+// the ignored memo value.
 func legacyReference(t *testing.T, legacy string) (findings, state string) {
 	t.Helper()
 	var spec JobSpec
 	if err := json.Unmarshal([]byte(legacy), &spec); err != nil {
 		t.Fatal(err)
 	}
-	if want := (JobSpec{Tenant: "t1", Contracts: 3, Seed: 17, Iterations: 30, Memo: "shared"}); spec != want {
+	spec.Memo = ""
+	if want := (JobSpec{Tenant: "t1", Contracts: 3, Seed: 17, Iterations: 30}); spec != want {
 		t.Fatalf("legacy spec decoded as %+v, want %+v", spec, want)
 	}
 	ref, err := RunSpec(context.Background(), spec, "", false, nil)
@@ -94,6 +107,14 @@ func TestLegacyPreAnalysisSpecSubmit(t *testing.T) {
 	}
 }
 
+// TestLegacySolverSpecSubmit posts specs carrying "incremental" or a memo
+// mode over HTTP.
+func TestLegacySolverSpecSubmit(t *testing.T) {
+	for field, legacy := range legacySolverSpecs {
+		t.Run(field, func(t *testing.T) { requireLegacySubmit(t, legacy) })
+	}
+}
+
 func requireLegacySubmit(t *testing.T, legacy string) {
 	t.Helper()
 	findings, state := legacyReference(t, legacy)
@@ -125,6 +146,14 @@ func TestLegacyFastVMSpecWALReplay(t *testing.T) {
 // the retired "verdicts" and "static_triage" fields.
 func TestLegacyPreAnalysisSpecWALReplay(t *testing.T) {
 	for field, legacy := range legacyPreAnalysisSpecs {
+		t.Run(field, func(t *testing.T) { requireLegacyWALReplay(t, legacy) })
+	}
+}
+
+// TestLegacySolverSpecWALReplay is TestLegacyFastVMSpecWALReplay for specs
+// carrying "incremental" or a memo mode.
+func TestLegacySolverSpecWALReplay(t *testing.T) {
+	for field, legacy := range legacySolverSpecs {
 		t.Run(field, func(t *testing.T) { requireLegacyWALReplay(t, legacy) })
 	}
 }

@@ -129,7 +129,6 @@ func TestKillRestartDigestIdentity(t *testing.T) {
 			Seed:       21,
 			Iterations: 60,
 			Workers:    workers,
-			Memo:       "shared",
 		}
 	}
 	// The digest is worker-count invariant, so one reference serves all
@@ -237,7 +236,6 @@ func TestColdWarmStoreDigestIdentity(t *testing.T) {
 		Contracts:  8,
 		Seed:       33,
 		Iterations: 50,
-		Memo:       "shared",
 	}
 
 	run := func(dataDir string) (JobState, StatsReport) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -122,6 +123,8 @@ func TestSpecValidate(t *testing.T) {
 		{JobSpec{Contracts: 4, FaultRate: 1.5}, false},
 		{JobSpec{Contracts: 4, Memo: "banana"}, false},
 		{JobSpec{Contracts: 4, Memo: "shared", FaultRate: 0.2}, true},
+		{JobSpec{Contracts: 4, Memo: "off"}, true},
+		{JobSpec{Contracts: 4, Memo: "on"}, true},
 		{JobSpec{Contracts: 4, Iterations: maxIterations, Workers: maxWorkers, TimeoutMS: maxTimeoutMS, MaxAttempts: maxRetryBudget}, true},
 		{JobSpec{Contracts: 4, Iterations: maxIterations + 1}, false},
 		{JobSpec{Contracts: 4, Iterations: -1}, false},
@@ -199,7 +202,7 @@ func TestServerEndToEnd(t *testing.T) {
 		}
 	}
 
-	spec := JobSpec{Tenant: "t1", Name: "e2e", Contracts: 4, Seed: 11, Iterations: 30, Memo: "shared"}
+	spec := JobSpec{Tenant: "t1", Name: "e2e", Contracts: 4, Seed: 11, Iterations: 30}
 	id := submitJob(t, ts.URL, spec)
 	st := waitFinished(t, ts.URL, id, 60*time.Second)
 	if st.Status != StatusCompleted {
@@ -327,5 +330,42 @@ func waitFinished(t *testing.T, base string, id int, timeout time.Duration) JobS
 			t.Fatalf("job %d not finished after %v: %+v", id, timeout, st)
 		}
 		time.Sleep(10 * time.Millisecond) //wasai:nondet test polling
+	}
+}
+
+// TestNewHTTPServer checks the daemon's http.Server: fixed header-read
+// and idle timeouts, and the handler it was given, serving over a real
+// listener.
+func TestNewHTTPServer(t *testing.T) {
+	s, err := New(Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := NewHTTPServer(s.Handler())
+	if hs.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want a bound", hs.IdleTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz = %d, want 200", resp.StatusCode)
+	}
+	if err := hs.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != http.ErrServerClosed {
+		t.Errorf("Serve = %v, want ErrServerClosed", err)
 	}
 }

@@ -107,7 +107,7 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	reg   *registry
-	cache *memo.Cache  // process-wide shared cache for Memo="shared" jobs
+	cache *memo.Cache  // the daemon's solver cache, handed to every job
 	disk  *store.Store // nil unless StoreDir is set
 
 	mu       sync.Mutex
@@ -327,6 +327,21 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("/stats", s.handleStats)
 	return mux
+}
+
+// HTTP timeouts of NewHTTPServer. A request's body is already capped at
+// maxSpecBytes; these bound how long a client may take to send its
+// headers and how long an idle keep-alive connection may hold a socket.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer wraps h (normally Handler()) in the daemon's http.Server,
+// with fixed header-read and idle timeouts so a slow or silent client
+// cannot pin a connection forever.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {

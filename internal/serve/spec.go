@@ -43,9 +43,10 @@ type JobSpec struct {
 	// FaultRate injects seeded faults into that fraction of first
 	// attempts (see internal/faultinject) — the chaos-testing surface.
 	FaultRate float64 `json:"fault_rate,omitempty"`
-	// Engine toggles; all digest-neutral.
-	Memo        string `json:"memo,omitempty"`
-	Incremental bool   `json:"incremental,omitempty"`
+	// Memo is a deprecated wire field, accepted for compatibility with
+	// older clients and ignored: every daemon job uses the daemon's cache.
+	// Validate still rejects values outside "", "off", "on" and "shared".
+	Memo string `json:"memo,omitempty"`
 	// Adaptive turns on the coverage-driven scheduling layer (power
 	// schedules + campaign fuel ledger). Not digest-neutral against a
 	// non-adaptive run — it changes which inputs are fuzzed — but still
@@ -90,8 +91,10 @@ func (s *JobSpec) Validate() error {
 	if s.FaultRate < 0 || s.FaultRate > 1 {
 		return fmt.Errorf("spec: fault_rate must be in [0,1]") //wasai:rawerr request validation, surfaced as HTTP 400
 	}
-	if _, err := memo.ParseMode(s.Memo); err != nil {
-		return err
+	switch s.Memo {
+	case "", "off", "on", "shared":
+	default:
+		return fmt.Errorf("spec: unknown memo mode %q (want off, on or shared)", s.Memo) //wasai:rawerr request validation, surfaced as HTTP 400
 	}
 	return nil
 }
@@ -127,23 +130,19 @@ func BuildJobs(spec JobSpec) ([]campaign.Job, error) {
 
 // CampaignConfig maps the spec onto the engine configuration. journal is
 // the job's checkpoint path ("" = unjournaled, for offline reference
-// runs); cache, when non-nil, overrides the memo scope (the daemon passes
-// its process-wide cache so jobs share tiers and the attached disk store).
+// runs); cache is the solver cache the job uses (the daemon passes its
+// process cache so every job shares it and the attached disk store; nil
+// runs without one).
 func CampaignConfig(spec JobSpec, journal string, resume bool, cache *memo.Cache) campaign.Config {
-	mode, _ := memo.ParseMode(spec.Memo) // Validate already vetted it
 	cfg := campaign.Config{
-		Workers:     spec.Workers,
-		BaseSeed:    spec.Seed,
-		JobTimeout:  time.Duration(spec.TimeoutMS) * time.Millisecond,
-		Retry:       campaign.RetryPolicy{MaxAttempts: spec.MaxAttempts},
-		Journal:     journal,
-		Resume:      resume,
-		Memo:        mode,
-		Incremental: spec.Incremental,
-		Adaptive:    spec.Adaptive,
-	}
-	if cache != nil && mode != memo.ModeOff {
-		cfg.MemoCache = cache
+		Workers:    spec.Workers,
+		BaseSeed:   spec.Seed,
+		JobTimeout: time.Duration(spec.TimeoutMS) * time.Millisecond,
+		Retry:      campaign.RetryPolicy{MaxAttempts: spec.MaxAttempts},
+		Journal:    journal,
+		Resume:     resume,
+		MemoCache:  cache,
+		Adaptive:   spec.Adaptive,
 	}
 	if spec.FaultRate > 0 {
 		cfg.Faults = &faultinject.Plan{Seed: spec.Seed, Rate: spec.FaultRate}

@@ -8,13 +8,20 @@ import (
 )
 
 // incremental_test.go is the differential suite for the prefix-sharing
-// pre-pass: SolvePoolCtx with Incremental on must answer every query with
-// the same verdict AND the same model as the fresh path, on adversarial
-// batches — shared-prefix flip families, random stack-machine programs, and
-// memo-composed runs.
+// pre-pass: SolvePoolCtx (which always runs it on unfaulted pools) must
+// answer every query with the same verdict AND the same model as the
+// fresh-only reference pool, on adversarial batches — shared-prefix flip
+// families, random stack-machine programs, and memo-composed runs.
 
-// chainFamily builds the incr experiment's family shape: a strict Ult chain
-// prefix with len(chain) unsat flips and one sat flip.
+// solveFresh is the reference oracle: the pool without the pre-pass.
+func solveFresh(queries []Query, opts PoolOptions) ([]Answer, SolverStats, error) {
+	return solvePool(context.Background(), queries, opts, false)
+}
+
+// chainFamily builds the flip-family shape: a strict Ult chain prefix with
+// chain unsat flips (v_chain < v_k contradicts the chain) and one sat flip,
+// as the concolic loop produces them — same prefix, one negated tail
+// conjunct per query.
 func chainFamily(ctx *Ctx, tag string, chain int, firstID int) []Query {
 	vs := make([]*Expr, chain+1)
 	for i := range vs {
@@ -36,18 +43,15 @@ func chainFamily(ctx *Ctx, tag string, chain int, firstID int) []Query {
 	return qs
 }
 
-// diffPool solves the batch fresh and incremental and requires per-query
-// verdict and model agreement.
+// diffPool solves the batch fresh-only and through SolvePoolCtx and
+// requires per-query verdict and model agreement.
 func diffPool(t *testing.T, queries []Query, opts PoolOptions) (off, on SolverStats) {
 	t.Helper()
-	optsOff, optsOn := opts, opts
-	optsOff.Incremental = false
-	optsOn.Incremental = true
-	offAns, offStats, err := SolvePoolCtx(context.Background(), queries, optsOff)
+	offAns, offStats, err := solveFresh(queries, opts)
 	if err != nil {
 		t.Fatalf("fresh pool: %v", err)
 	}
-	onAns, onStats, err := SolvePoolCtx(context.Background(), queries, optsOn)
+	onAns, onStats, err := SolvePoolCtx(context.Background(), queries, opts)
 	if err != nil {
 		t.Fatalf("incremental pool: %v", err)
 	}
@@ -122,24 +126,23 @@ func TestIncrementalRandomBatchAgreement(t *testing.T) {
 }
 
 // TestIncrementalMemoParity runs the same batch twice against one memo per
-// mode and requires the verdicts the incremental pre-pass stores to serve
-// later lookups exactly as fresh-path stores would.
+// pool form and requires the verdicts the pre-pass stores to serve later
+// lookups exactly as fresh-path stores would.
 func TestIncrementalMemoParity(t *testing.T) {
 	ctx := NewCtx()
 	var queries []Query
 	queries = append(queries, chainFamily(ctx, "a", 4, 0)...)
 	queries = append(queries, chainFamily(ctx, "b", 4, len(queries))...)
 
-	run := func(incremental bool) []Answer {
+	run := func(prepass bool) []Answer {
 		memo := newRecordingMemo()
 		var all []Answer
 		for leg := 0; leg < 2; leg++ {
-			ans, _, err := SolvePoolCtx(context.Background(), queries, PoolOptions{
+			ans, _, err := solvePool(context.Background(), queries, PoolOptions{
 				Workers:      4,
 				MaxConflicts: 50_000,
 				Memo:         memo,
-				Incremental:  incremental,
-			})
+			}, prepass)
 			if err != nil {
 				t.Fatalf("leg %d: %v", leg, err)
 			}
@@ -161,5 +164,48 @@ func TestIncrementalMemoParity(t *testing.T) {
 				t.Fatalf("answer %d: model[%s] differs", i, k)
 			}
 		}
+	}
+}
+
+// TestIncrementalChainConflictReduction is the pre-pass's work gate at the
+// solver's own API: 4 inequality-chain families of length 5, each solved
+// as one pool call with 4 workers and a 50,000-conflict budget, fresh-only
+// and through SolvePoolCtx. Every verdict and model must agree, and the
+// pre-pass must cut total CDCL conflicts by at least 30%.
+//
+// Chains, not the campaign corpus: generated contracts' verification
+// clauses are equalities, which refute by unit propagation through the
+// Tseitin gates with zero conflicts, so no solver could show a conflict
+// reduction there. Bit-level propagation cannot see the transitivity of a
+// comparator chain, so every fresh flip costs a real CDCL search, and the
+// shared-prefix instance amortizes the learned transitivity clauses
+// across the family.
+func TestIncrementalChainConflictReduction(t *testing.T) {
+	const families, chain = 4, 5
+	ctx := NewCtx()
+	opts := PoolOptions{Workers: 4, MaxConflicts: 50_000}
+	var off, on SolverStats
+	id := 0
+	for f := 0; f < families; f++ {
+		fam := chainFamily(ctx, fmt.Sprintf("f%d", f), chain, id)
+		id += len(fam)
+		o, n := diffPool(t, fam, opts)
+		off.SATConflicts += o.SATConflicts
+		on.SATConflicts += n.SATConflicts
+		off.Unknowns += o.Unknowns
+		on.Unknowns += n.Unknowns
+		on.AssumeUnsats += n.AssumeUnsats
+	}
+	if off.Unknowns+on.Unknowns != 0 {
+		t.Errorf("budget exhausted: %d fresh and %d pooled unknowns", off.Unknowns, on.Unknowns)
+	}
+	if off.SATConflicts == 0 {
+		t.Fatal("fresh reference needed no conflicts: the families exercise nothing")
+	}
+	reduction := 1 - float64(on.SATConflicts)/float64(off.SATConflicts)
+	t.Logf("%d flip queries: CDCL conflicts %d -> %d (-%.1f%%), %d pre-pass refutations",
+		id, off.SATConflicts, on.SATConflicts, 100*reduction, on.AssumeUnsats)
+	if reduction < 0.30 {
+		t.Errorf("pre-pass cut CDCL conflicts by %.1f%%, need >= 30%%", 100*reduction)
 	}
 }

@@ -56,7 +56,7 @@ type SolverStats struct {
 	SATCalls     int
 	SATConflicts int64
 	Unknowns     int
-	// Incremental-path counters (PoolOptions.Incremental). AssumeCalls
+	// Pre-pass counters (see solveIncremental). AssumeCalls
 	// counts assumption solves on the shared group instance (deliberately
 	// NOT included in SATCalls, which keeps counting fresh DPLL instances
 	// so cross-run SATCalls comparisons stay meaningful); AssumeUnsats is
@@ -422,21 +422,15 @@ type Answer struct {
 
 // SolvePool solves queries concurrently (paper §3.4.4: "we collect the
 // target constraints together and solve them in parallel"). workers <= 0
-// uses one worker per query up to 8.
+// uses one worker per query up to 8. Answers are returned in submission
+// order — NOT completion order — so callers that act on models in
+// sequence (the fuzzer turns them into adaptive seeds) behave identically
+// regardless of worker scheduling.
 func SolvePool(queries []Query, workers int, maxConflicts int64) []Answer {
-	answers, _ := SolvePoolStats(queries, workers, maxConflicts)
-	return answers
-}
-
-// SolvePoolStats is SolvePool returning the merged solver statistics.
-// Answers are returned in submission order — NOT completion order — so
-// callers that act on models in sequence (the fuzzer turns them into
-// adaptive seeds) behave identically regardless of worker scheduling.
-func SolvePoolStats(queries []Query, workers int, maxConflicts int64) ([]Answer, SolverStats) {
-	answers, stats, _ := SolvePoolCtx(context.Background(), queries, PoolOptions{
+	answers, _, _ := SolvePoolCtx(context.Background(), queries, PoolOptions{
 		Workers: workers, MaxConflicts: maxConflicts,
 	})
-	return answers, stats
+	return answers
 }
 
 // PoolOptions tunes SolvePoolCtx.
@@ -454,27 +448,27 @@ type PoolOptions struct {
 	// attempt must neither be served from nor feed the cache, so an
 	// injected fault can never poison results shared with clean attempts.
 	Memo SolverMemo
-	// Incremental enables the sequential prefix-sharing pre-pass: queries
-	// are first simplified at the word level and then attempted as
-	// assumption solves on one shared SAT instance that retains learned
-	// clauses across the flip family. The pre-pass only serves answers
-	// that are byte-identical to the fresh path's (memo hits, trivial
-	// verdicts, deterministic probe models, and Unsat proofs — never a
-	// model found under retained heuristic state), so findings digests are
-	// invariant under this flag. Ignored whenever Faults is non-nil:
-	// faulted attempts bypass group reuse exactly as they bypass the memo,
-	// and skipping the pre-pass keeps the injector's deterministic
-	// per-query call count unchanged.
-	Incremental bool
 }
 
-// SolvePoolCtx is the resilient form of SolvePoolStats: the context
-// cancels in-flight SAT searches cooperatively (cancelled queries report
-// Unknown), and the fault-injection hook can starve the pool's budget.
-// The returned error is non-nil only when a fault fired; whether a fault
-// fires depends on the injector's deterministic per-job call count, never
-// on worker scheduling, so faulted campaigns stay worker-count invariant.
+// SolvePoolCtx is the solver pool: a sequential prefix-sharing pre-pass
+// (solveIncremental) answers what it can prove identical to a fresh solve,
+// and concurrent fresh solvers answer the rest. The context cancels
+// in-flight SAT searches cooperatively (cancelled queries report Unknown),
+// and the fault-injection hook can starve the pool's budget. The returned
+// error is non-nil only when a fault fired; whether a fault fires depends
+// on the injector's deterministic per-job call count, never on worker
+// scheduling, so faulted campaigns stay worker-count invariant.
 func SolvePoolCtx(ctx context.Context, queries []Query, opts PoolOptions) ([]Answer, SolverStats, error) {
+	// Faulted attempts skip the pre-pass, as they skip the memo: group
+	// reuse stays out of results an injected fault shaped, and the
+	// injector's per-query call count is the same as a fresh-only pool's.
+	return solvePool(ctx, queries, opts, opts.Faults == nil)
+}
+
+// solvePool is SolvePoolCtx with the pre-pass chosen by the caller. The
+// fresh-only form (prepass false) is the reference oracle the pre-pass is
+// tested against.
+func solvePool(ctx context.Context, queries []Query, opts PoolOptions, prepass bool) ([]Answer, SolverStats, error) {
 	memo := opts.Memo
 	if opts.Faults != nil {
 		// Faulted attempts bypass the memo entirely (no read, no write,
@@ -494,7 +488,7 @@ func SolvePoolCtx(ctx context.Context, queries []Query, opts PoolOptions) ([]Ans
 		poolErr error
 		aborted atomic.Bool
 	)
-	if opts.Incremental && opts.Faults == nil {
+	if prepass {
 		// Sequential pre-pass: answer what the shared-instance path can
 		// answer deterministically, leave the rest for the fresh pool.
 		solveIncremental(ctx, queries, opts, memo, answers, solved, &stats)
@@ -586,11 +580,11 @@ func SolvePoolCtx(ctx context.Context, queries []Query, opts PoolOptions) ([]Ans
 	return answers, stats, poolErr
 }
 
-// solveIncremental is the prefix-sharing pre-pass behind
-// PoolOptions.Incremental. It walks the flip family sequentially (the shared
-// SAT instance is stateful, and sequential order makes retained-state effects
-// a pure function of the query list) and answers each query from the first
-// source that is provably identical to what the fresh pool would produce:
+// solveIncremental is the solver pool's prefix-sharing pre-pass. It walks
+// the flip family sequentially (the shared SAT instance is stateful, and
+// sequential order makes retained-state effects a pure function of the
+// query list) and answers each query from the first source that is
+// provably identical to what the fresh pool would produce:
 //
 //  1. memo hit (same lookup the fresh worker performs first),
 //  2. trivial verdicts (constant-False conjunct / all-True conjunction),
@@ -604,8 +598,8 @@ func SolvePoolCtx(ctx context.Context, queries []Query, opts PoolOptions) ([]Ans
 // assignment than a fresh instance would find, and Sat models become
 // adaptive seeds. Those queries (and Unknowns) fall through unanswered and
 // are solved by the unchanged parallel fresh path, which is what keeps
-// FindingsDigest and StateDigest byte-identical incremental on/off at any
-// worker count. Group- and simplifier-proved Unsats are genuinely
+// FindingsDigest and StateDigest byte-identical to a fresh-only pool at
+// any worker count. Group- and simplifier-proved Unsats are genuinely
 // unsatisfiable, so storing them in the memo is sound; the fresh run may
 // cache Unknown-free subsets differently, which is digest-invisible because
 // only Sat results feed the seed queue.

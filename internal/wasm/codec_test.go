@@ -295,3 +295,40 @@ func TestWatRendersAllSections(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeNameSection feeds decodeNameSection a name-section payload
+// holding a module-name subsection (id 0, skipped) and a function-name
+// subsection (id 1), then a truncated copy.
+func TestDecodeNameSection(t *testing.T) {
+	payload := []byte{
+		0x00, 0x04, 0x03, 'm', 'o', 'd', // module name "mod"
+		0x01, 0x0d, 0x02, // function names: 13 bytes, two entries
+		0x00, 0x05, 'a', 'p', 'p', 'l', 'y', // 0 -> "apply"
+		0x02, 0x03, 'b', 'e', 't', // 2 -> "bet"
+	}
+	m := &Module{FuncNames: map[uint32]string{}}
+	if err := decodeNameSection(m, payload); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[uint32]string{0: "apply", 2: "bet"}; !reflect.DeepEqual(m.FuncNames, want) {
+		t.Errorf("FuncNames = %v, want %v", m.FuncNames, want)
+	}
+	if err := decodeNameSection(&Module{FuncNames: map[uint32]string{}}, payload[:len(payload)-2]); err == nil {
+		t.Error("truncated name section decoded without error")
+	}
+
+	// Through Decode: the section fills FuncNames and is kept verbatim.
+	sm := sampleModule()
+	sm.Customs = append(sm.Customs, CustomSection{Name: "name", Data: payload})
+	bin, err := Encode(sm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.FuncNames[2] != "bet" {
+		t.Errorf("Decode FuncNames = %v, want 2 -> bet", back.FuncNames)
+	}
+}

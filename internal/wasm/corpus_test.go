@@ -8,14 +8,16 @@ import (
 	"testing"
 
 	"repro/internal/contractgen"
+	"repro/internal/leb128"
 	"repro/internal/wasm"
 )
 
 // decodeCorpus builds FuzzDecode's checked-in seed corpus: one realistic
 // contract binary per vulnerability class, generated deterministically by
-// contractgen. Real contract binaries exercise every section the decoder
-// has (types, imports, tables, memories, data, code) where hand-written
-// minimal seeds would not.
+// contractgen, and the first two again carrying a "name" custom section.
+// Real contract binaries exercise every section the decoder has (types,
+// imports, tables, memories, data, code) where hand-written minimal seeds
+// would not.
 func decodeCorpus(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	entries := map[string][]byte{}
@@ -32,8 +34,33 @@ func decodeCorpus(tb testing.TB) map[string][]byte {
 		}
 		slug := strings.ReplaceAll(strings.ToLower(class.String()), " ", "-")
 		entries["contractgen-"+slug] = bin
+		if i < 2 {
+			c.Module.Customs = append(c.Module.Customs, nameSection(slug, c.Module.NumFuncs()))
+			if bin, err = wasm.Encode(c.Module); err != nil {
+				tb.Fatalf("encode named %s: %v", class, err)
+			}
+			entries["contractgen-"+slug+"-names"] = bin
+		}
 	}
 	return entries
+}
+
+// nameSection builds a "name" custom section: a module-name subsection
+// (id 0) and a function-name subsection (id 1) naming functions
+// 0..funcs-1.
+func nameSection(module string, funcs int) wasm.CustomSection {
+	name := func(dst []byte, s string) []byte {
+		return append(leb128.AppendUint(dst, uint64(len(s))), s...)
+	}
+	sub := func(dst []byte, id byte, body []byte) []byte {
+		return append(leb128.AppendUint(append(dst, id), uint64(len(body))), body...)
+	}
+	fns := leb128.AppendUint(nil, uint64(funcs))
+	for i := 0; i < funcs; i++ {
+		fns = name(leb128.AppendUint(fns, uint64(i)), fmt.Sprintf("f%d", i))
+	}
+	data := sub(nil, 0, name(nil, module))
+	return wasm.CustomSection{Name: "name", Data: sub(data, 1, fns)}
 }
 
 // TestFuzzDecodeSeedCorpus keeps the checked-in corpus in sync with the

@@ -63,26 +63,15 @@ type Config struct {
 	// CustomAPIDetectors registers extension oracles (paper §5): each
 	// flags the contract when any of its named host APIs is executed.
 	CustomAPIDetectors []APIDetector
-	// Memo selects cross-job memoization ("off"/""/default, "on",
-	// "shared"; see internal/memo): decoded modules and canonicalized
-	// solver-query verdicts are reused instead of recomputed. "on" scopes the cache to one campaign or batch,
-	// "shared" to the whole process. Memoization never changes findings;
-	// it only removes duplicated work.
-	Memo string
-	// StoreDir, when non-empty, backs the memo with the disk-based
-	// content-addressed store at that directory (internal/store), shared
-	// across processes and restarts: solver verdicts persist and warm
-	// runs answer repeated queries from disk. Implies memoization (a
-	// private cache when Memo is off). Corrupt or version-mismatched
-	// entries degrade to cache misses — they can cost a solver call,
-	// never change a finding.
+	// StoreDir, when non-empty, memoizes solver verdicts (internal/memo)
+	// in a cache backed by the disk-based content-addressed store at that
+	// directory (internal/store), shared across processes and restarts:
+	// verdicts persist and warm runs answer repeated queries from disk.
+	// The cache lives for one Analyze call or one batch; without StoreDir
+	// nothing is memoized. Memoization never changes findings, and
+	// corrupt or version-mismatched entries degrade to cache misses —
+	// they can cost a solver call, never change a finding.
 	StoreDir string
-	// Incremental enables the prefix-sharing incremental solver for the
-	// adaptive-seed flip queries: one shared SAT instance per trace family
-	// answers flips as assumption solves, retaining learned clauses, plus
-	// a word-level simplification pre-pass. Findings are byte-identical
-	// on/off; the flag only reduces solver work.
-	Incremental bool
 	// Adaptive enables the coverage-driven power schedule
 	// (internal/schedule): payload/action arms and seed-pool entries carry
 	// energy scores updated from coverage deltas, and the DBG writer→reader
@@ -181,29 +170,9 @@ func AnalyzeModule(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Report,
 	for _, d := range cfg.CustomAPIDetectors {
 		customs = append(customs, scanner.NewAPICallDetector(d.Name, mod, d.APIs...))
 	}
-	mode, err := memo.ParseMode(cfg.Memo)
+	cache, err := storeCache(cfg.StoreDir)
 	if err != nil {
-		return nil, fmt.Errorf("wasai: %w", err)
-	}
-	// Even a single campaign profits from the solver tier: the concolic
-	// loop re-solves unflippable branch queries every time coverage grows.
-	cache := memo.ForMode(mode)
-	if cfg.StoreDir != "" {
-		disk, err := store.OpenShared(store.Options{Dir: cfg.StoreDir})
-		if err != nil {
-			return nil, fmt.Errorf("wasai: memo store: %w", err)
-		}
-		if mode == memo.ModeShared {
-			// Never attach the store to the plain shared cache — that
-			// would leak this run's disk tier into every later shared
-			// campaign. Each store gets its own process-wide cache.
-			cache = memo.SharedWithDisk(disk)
-		} else {
-			if cache == nil {
-				cache = memo.New() // StoreDir implies memoization
-			}
-			cache.AttachDisk(disk)
-		}
+		return nil, err
 	}
 	f, err := fuzz.New(mod, contractABI, fuzz.Config{
 		Iterations:       cfg.Iterations,
@@ -213,7 +182,6 @@ func AnalyzeModule(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Report,
 		KeepTraces:       cfg.TraceFile != "",
 		CustomDetectors:  customs,
 		Memo:             cache.SolverMemo(),
-		Incremental:      cfg.Incremental,
 		Adaptive:         cfg.Adaptive,
 		SaturationWindow: cfg.SaturationWindow,
 	})
@@ -247,4 +215,20 @@ func AnalyzeModule(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Report,
 		})
 	}
 	return report, nil
+}
+
+// storeCache builds the memo a StoreDir asks for: a fresh cache in front
+// of the directory's disk store, because the disk tier needs a memory
+// front. An empty dir means no cache (nil).
+func storeCache(dir string) (*memo.Cache, error) {
+	if dir == "" {
+		return nil, nil
+	}
+	disk, err := store.OpenShared(store.Options{Dir: dir})
+	if err != nil {
+		return nil, fmt.Errorf("wasai: memo store: %w", err)
+	}
+	c := memo.New()
+	c.AttachDisk(disk)
+	return c, nil
 }
