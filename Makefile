@@ -1,17 +1,23 @@
 # Developer entry points. `make verify` is the full pre-merge gate: the
 # campaign engine is concurrent, so the race detector is part of the
-# baseline, not an optional extra.
+# baseline, not an optional extra. The execution engine has no gate of its
+# own: `go test ./...` holds its checks (internal/bench
+# TestEngineReferenceDigests pins the tree-walker's campaign digests, the
+# internal/wasm/exec differentials compare it with the reference), and
+# `go test -run NONE -bench Engine ./internal/wasm/exec` measures its
+# throughput without gating on wall-clock.
 
 GO ?= go
 
-.PHONY: build test race fuzz lint chaos serve-chaos bench-regress bench-baseline memo fastvm verdict onchain adaptive profile verify
+.PHONY: build test race fuzz lint chaos serve-chaos bench-regress bench-baseline memo verdict onchain adaptive profile verify
 
 build:
 	$(GO) build ./...
 
 # Repo-specific lint gate: go vet plus wasai-lint (nondeterminism sources in
 # the deterministic core packages, scanner/static oracle parity, error
-# classification, ad-hoc caches outside internal/memo).
+# classification, ad-hoc caches outside internal/memo, exec.Reference — the
+# tree-walking oracle — referenced outside tests).
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/wasai-lint
@@ -69,14 +75,6 @@ bench-baseline:
 memo:
 	$(GO) run ./cmd/wasai-bench -exp memo
 
-# Decoded-IR engine gate: campaign digests at 1/4/8 workers must equal the
-# pinned references the tree-walking interpreter produced, and the
-# direct-threaded engine must retire ≥2x the instructions/sec of the
-# tree-walker on the hot workload with full result/fuel agreement (exit
-# status is the assertion).
-fastvm:
-	$(GO) run ./cmd/wasai-bench -exp fastvm
-
 # Verdict-engine gate: zero soundness violations in both directions against
 # a dynamic campaign, ≥30% of the wild (contract, class) verdict matrix
 # decided statically, and byte-identical campaign digests at 1/4/8 workers
@@ -107,6 +105,6 @@ adaptive:
 profile:
 	$(GO) run ./cmd/wasai-bench -exp regress -cpuprofile cpu.pprof -memprofile mem.pprof
 
-verify: build lint chaos serve-chaos bench-regress memo fastvm verdict onchain adaptive
+verify: build lint chaos serve-chaos bench-regress memo verdict onchain adaptive
 	$(GO) test ./...
 	$(GO) test -race ./...

@@ -242,7 +242,8 @@ func BenchmarkSolverFastPath(b *testing.B) {
 
 // --- Micro benches over the substrates --------------------------------------
 
-// BenchmarkInterpreter measures raw Wasm execution throughput (sum loop).
+// BenchmarkInterpreter measures raw Wasm execution throughput (sum loop)
+// on the compiled engine and on the tree-walking reference.
 func BenchmarkInterpreter(b *testing.B) {
 	m := &wasm.Module{FuncNames: map[uint32]string{}}
 	ti := m.AddType(wasm.FuncType{Params: []wasm.ValType{wasm.I64}, Results: []wasm.ValType{wasm.I64}})
@@ -259,16 +260,27 @@ func BenchmarkInterpreter(b *testing.B) {
 		},
 	}}
 	m.Exports = []wasm.Export{{Name: "f", Kind: wasm.ExternalFunc, Index: 0}}
-	inst, err := exec.Instantiate(m, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vm := exec.NewVM(inst)
-		if _, err := vm.Invoke("f", 1000); err != nil {
-			b.Fatal(err)
-		}
+	for _, e := range []struct {
+		name  string
+		build func(*wasm.Module) (*exec.Program, error)
+	}{{"compiled", exec.Compile}, {"reference", exec.Reference}} {
+		b.Run(e.name, func(b *testing.B) {
+			prog, err := e.build(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			inst, err := exec.Instantiate(m, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := exec.NewVM(inst, prog).Invoke("f", 1000)
+				if err != nil || res[0] != 500500 {
+					b.Fatalf("sum(1..1000) = %v, %v", res, err)
+				}
+			}
+		})
 	}
 }
 

@@ -13,7 +13,7 @@
 //	wasai-bench -exp regress -baseline BENCH_BASELINE.json
 //
 // Experiments: fig3, table4, table5, table6, rq4, all, plus chaos,
-// servechaos, memo, fastvm, verdict, onchain, adaptive and regress (run
+// servechaos, memo, verdict, onchain, adaptive and regress (run
 // explicitly; they are not part of "all"). Scale
 // multiplies the dataset sizes (1.0 reproduces the full paper-sized
 // benchmark; small scales keep the shapes at a fraction of the runtime).
@@ -44,10 +44,7 @@
 // least as many branches and score at least as many ground-truth findings
 // as the static round-robin on every corpus, strictly more coverage on at
 // least one, with digest identity at workers 1/4/8 and across a journal
-// kill+resume. -exp fastvm runs the execution-engine gate: campaign
-// digests at worker counts 1/4/8 must equal the pinned tree-walker
-// references, and the decoded-IR engine must retire ≥2x the instructions/s
-// of the tree-walker on a hot module. -exp regress runs the fixed
+// kill+resume. -exp regress runs the fixed
 // benchmark workload (wall-clock is the median of three
 // legs; solver counters are single-leg exact), writes a BENCH_<date>.json
 // record (-out overrides the path) and compares it against the committed
@@ -87,7 +84,7 @@ func main() {
 
 func run() error {
 	var (
-		exp       = flag.String("exp", "all", "experiment: fig3|table4|table5|table6|rq4|triage|chaos|servechaos|memo|fastvm|verdict|onchain|adaptive|regress|all (chaos/servechaos/memo/fastvm/verdict/onchain/adaptive/regress only run when named)")
+		exp       = flag.String("exp", "all", "experiment: fig3|table4|table5|table6|rq4|triage|chaos|servechaos|memo|verdict|onchain|adaptive|regress|all (chaos/servechaos/memo/verdict/onchain/adaptive/regress only run when named)")
 		scale     = flag.Float64("scale", 0.1, "dataset scale factor (0,1]")
 		seed      = flag.Int64("seed", 1, "generation seed")
 		iters     = flag.Int("iterations", 240, "fuzzing budget per contract")
@@ -286,25 +283,6 @@ func run() error {
 			if !res.Passed() {
 				return fmt.Errorf("memo experiment failed: digests identical=%v, min recomputation cut %.1f%% (need ≥30%%)",
 					res.DigestMatch, 100*res.MinReduction())
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if *exp == "fastvm" {
-		if err := runExp("FastVM (decoded-IR engine against the tree-walker)", func() error {
-			cfg := bench.DefaultFastVMConfig()
-			cfg.Seed = *seed
-			cfg.FuzzIterations = *iters
-			res, err := bench.EvaluateFastVM(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.RenderFastVM(res))
-			if !res.Passed() {
-				return fmt.Errorf("fastvm experiment failed: reference digests=%v, agreement=%v, speedup %.2fx (need >=2x)",
-					res.DigestMatch, res.Throughput.ResultsMatch, res.Throughput.Speedup())
 			}
 			return nil
 		}); err != nil {

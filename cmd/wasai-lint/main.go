@@ -1,5 +1,5 @@
 // Command wasai-lint is this repository's custom lint gate, run by `make
-// lint` (and so by `make verify`). It enforces two repo-specific invariants
+// lint` (and so by `make verify`). It enforces repo-specific invariants
 // that go vet cannot know about:
 //
 //   - nondeterminism: the deterministic core packages (internal/campaign,
@@ -37,6 +37,11 @@
 //     fmt.Errorf with %w forwarding a classified cause. Bare errors.New and
 //     %w-less fmt.Errorf defeat the retry policy and the failure taxonomy;
 //     deliberate exceptions carry a `//wasai:rawerr <reason>` directive.
+//
+//   - reference engine: exec.Reference, the program that runs a module on
+//     the tree-walking interpreter, is a test oracle. Outside
+//     internal/wasm/exec only _test.go files may reference it, so no
+//     production path reaches the tree-walker.
 //
 // The analyzers are built on the standard library's go/parser and go/ast
 // alone. The usual vehicle for custom analyzers is a
@@ -113,6 +118,12 @@ func main() {
 	}
 	diags = append(diags, d...)
 	d, err = checkBackendParity(root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wasai-lint:", err)
+		os.Exit(2)
+	}
+	diags = append(diags, d...)
+	d, err = checkReferenceUse(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wasai-lint:", err)
 		os.Exit(2)

@@ -116,8 +116,8 @@ type Account struct {
 	Sites *instrument.SiteTable
 	// prog is the module's decoded-IR program, compiled once at deploy and
 	// shared by every apply of the module (and by every chain the account
-	// is copied to with DeployFrom). Nil runs the module on the reference
-	// tree-walker.
+	// is copied to with DeployFrom). Every Wasm account has one: a module
+	// that does not compile is refused at deploy.
 	prog *exec.Program
 
 	// Native contract (nil for Wasm accounts).
@@ -224,9 +224,14 @@ func (bc *Blockchain) DeployWasm(name eos.Name, bin []byte, contractABI *abi.ABI
 
 // DeployModule installs an already-decoded module (skips re-decoding; used
 // by the fuzzer, which instruments modules in memory) and compiles its
-// decoded-IR program.
+// decoded-IR program. Like Nodeos validating contract Wasm at setcode, it
+// refuses a module with an ill-typed or over-bound function body.
 func (bc *Blockchain) DeployModule(name eos.Name, m *wasm.Module, contractABI *abi.ABI, sites *instrument.SiteTable) error {
-	return bc.deploy(name, m, exec.Compile(m), contractABI, sites)
+	prog, err := exec.Compile(m)
+	if err != nil {
+		return fmt.Errorf("chain: deploy %s: %w", name, err)
+	}
+	return bc.deploy(name, m, prog, contractABI, sites)
 }
 
 // DeployFrom installs the Wasm contract deployed on src — module, ABI,
@@ -440,7 +445,7 @@ func (bc *Blockchain) applyWasm(ctx *Context, acct *Account) error {
 	if err != nil {
 		return fmt.Errorf("chain: instantiate %s: %w", acct.Name, err)
 	}
-	vm := exec.NewFastVM(inst, acct.prog)
+	vm := exec.NewVM(inst, acct.prog)
 	vm.SetFuel(bc.Fuel)
 	vm.Context = ctx
 	ctx.vm = vm

@@ -2,35 +2,60 @@ package contractgen
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/wasm"
 	"repro/internal/wasm/exec"
 )
 
-// runSemReference executes p's "run" export on the reference interpreter,
-// returning the result, the observed note sequence, and any error.
-func runSemReference(t *testing.T, p *SemProgram) (uint64, []uint64, error) {
+// runSem executes p's "run" export on both engines — the compiled program
+// production runs and the tree-walking reference — failing the test
+// unless they agree on result, error, fuel and note sequence. It returns
+// the result, the observed note sequence, and any error.
+func runSem(t *testing.T, p *SemProgram) (uint64, []uint64, error) {
 	t.Helper()
-	var notes []uint64
-	resolver := exec.Resolver{"sem": exec.HostModule{
-		"note": func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			notes = append(notes, args[0])
-			return nil, nil
-		},
-	}}
-	inst, err := exec.Instantiate(p.Module, resolver)
-	if err != nil {
-		t.Fatalf("Instantiate: %v", err)
+	type outcome struct {
+		res   []uint64
+		notes []uint64
+		err   string
+		fuel  int64
 	}
-	res, err := exec.NewVM(inst).Invoke("run")
-	if err != nil {
-		return 0, notes, err
+	var outs [2]outcome
+	var runErr error
+	for i, build := range []func(*wasm.Module) (*exec.Program, error){exec.Compile, exec.Reference} {
+		prog, err := build(p.Module)
+		if err != nil {
+			t.Fatalf("program: %v", err)
+		}
+		var notes []uint64
+		resolver := exec.Resolver{"sem": exec.HostModule{
+			"note": func(vm *exec.VM, args []uint64) ([]uint64, error) {
+				notes = append(notes, args[0])
+				return nil, nil
+			},
+		}}
+		inst, err := exec.Instantiate(p.Module, resolver)
+		if err != nil {
+			t.Fatalf("Instantiate: %v", err)
+		}
+		vm := exec.NewVM(inst, prog)
+		res, err := vm.Invoke("run")
+		outs[i] = outcome{res: res, notes: notes, fuel: vm.Fuel()}
+		if err != nil {
+			outs[i].err, runErr = err.Error(), err
+		}
 	}
-	if len(res) != 1 {
-		t.Fatalf("run returned %d results", len(res))
+	if !reflect.DeepEqual(outs[0], outs[1]) {
+		t.Fatalf("engines diverged:\n compiled:  %+v\n reference: %+v", outs[0], outs[1])
 	}
-	return res[0], notes, nil
+	if runErr != nil {
+		return 0, outs[0].notes, runErr
+	}
+	if len(outs[0].res) != 1 {
+		t.Fatalf("run returned %d results", len(outs[0].res))
+	}
+	return outs[0].res[0], outs[0].notes, nil
 }
 
 // TestSemanticsDeterministicSeed: the generator is a pure function of its
@@ -63,7 +88,7 @@ func TestSemanticsDeterministicSeed(t *testing.T) {
 }
 
 // TestSemanticsSweep: a 256-seed sweep — every generated module validates,
-// decode/encode round-trips, and its self-checks pass on the reference VM
+// decode/encode round-trips, and its self-checks pass on both engines
 // with the predicted return value and note sequence. This guards generator
 // bugs from masquerading as engine bugs in the differential gate.
 func TestSemanticsSweep(t *testing.T) {
@@ -82,9 +107,9 @@ func TestSemanticsSweep(t *testing.T) {
 		if _, err := wasm.Decode(bin); err != nil {
 			t.Fatalf("seed %d: decode round-trip: %v", seed, err)
 		}
-		got, notes, err := runSemReference(t, p)
+		got, notes, err := runSem(t, p)
 		if err != nil {
-			t.Fatalf("seed %d: self-check failed on reference VM: %v", seed, err)
+			t.Fatalf("seed %d: self-check failed: %v", seed, err)
 		}
 		if got != p.Return {
 			t.Fatalf("seed %d: return %#x, predicted %#x", seed, got, p.Return)

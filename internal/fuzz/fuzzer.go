@@ -197,6 +197,12 @@ type seedRef struct {
 // auxiliary contracts of Algorithm 1 line 2 (eosio.token, the counterfeit
 // token, the notification-forwarding agent), and funds the accounts.
 func New(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
+	// Validate before instrumenting: the rewrite adds locals and imports,
+	// which could bring an out-of-range index back in range and so deploy
+	// a module the chain would refuse.
+	if err := wasm.Validate(mod); err != nil {
+		return nil, failure.Wrap(failure.Decode, fmt.Errorf("fuzz: %w", err))
+	}
 	res, err := instrument.Instrument(mod, instrument.ModeSparse)
 	if err != nil {
 		return nil, failure.Wrap(failure.Decode, fmt.Errorf("fuzz: instrument: %w", err))

@@ -1,11 +1,49 @@
 package instrument
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/wasm"
 	"repro/internal/wasm/exec"
 )
+
+// invokeBoth calls the export name of mod on both engines — the compiled
+// program production runs, then the tree-walking reference — each on a
+// fresh instance linked against r, and fails the test unless they agree
+// on results, error and fuel. record snapshots the host-side observations
+// after each run; those must agree too, and the compiled run's is
+// returned.
+func invokeBoth[T any](t *testing.T, mod *wasm.Module, r exec.Resolver, record func() T, name string, args ...uint64) T {
+	t.Helper()
+	type outcome struct {
+		res  []uint64
+		err  string
+		fuel int64
+		seen T
+	}
+	var outs [2]outcome
+	for i, build := range []func(*wasm.Module) (*exec.Program, error){exec.Compile, exec.Reference} {
+		prog, err := build(mod)
+		if err != nil {
+			t.Fatalf("program: %v", err)
+		}
+		inst, err := exec.Instantiate(mod, r)
+		if err != nil {
+			t.Fatalf("instantiate: %v", err)
+		}
+		vm := exec.NewVM(inst, prog)
+		res, err := vm.Invoke(name, args...)
+		if err != nil {
+			t.Fatalf("invoke: %v", err)
+		}
+		outs[i] = outcome{res: res, fuel: vm.Fuel(), seen: record()}
+	}
+	if !reflect.DeepEqual(outs[0], outs[1]) {
+		t.Fatalf("engines diverged:\n compiled:  %+v\n reference: %+v", outs[0], outs[1])
+	}
+	return outs[0].seen
+}
 
 // testModule builds a small module with an import, two local functions and
 // an indirect call, covering the remapping paths.
@@ -118,19 +156,15 @@ func TestInstrumentedExecutionMatches(t *testing.T) {
 	}
 
 	run := func(mod *wasm.Module, withHooks bool) []uint64 {
-		sunk = nil
 		r := exec.Resolver{"env": hostResolver["env"]}
 		if withHooks {
 			r[HookModule] = noopHooks
 		}
-		inst, err := exec.Instantiate(mod, r)
-		if err != nil {
-			t.Fatalf("instantiate: %v", err)
-		}
-		if _, err := exec.NewVM(inst).Invoke("main", 7); err != nil {
-			t.Fatalf("invoke: %v", err)
-		}
-		return append([]uint64(nil), sunk...)
+		return invokeBoth(t, mod, r, func() []uint64 {
+			out := sunk
+			sunk = nil
+			return out
+		}, "main", 7)
 	}
 
 	orig := run(m, false)
@@ -172,16 +206,14 @@ func TestHookEventCapture(t *testing.T) {
 	} {
 		hooks[h] = record(h)
 	}
-	inst, err := exec.Instantiate(res.Module, exec.Resolver{
+	calls = invokeBoth(t, res.Module, exec.Resolver{
 		"env":      exec.HostModule{"sink": func(vm *exec.VM, args []uint64) ([]uint64, error) { return nil, nil }},
 		HookModule: hooks,
-	})
-	if err != nil {
-		t.Fatalf("instantiate: %v", err)
-	}
-	if _, err := exec.NewVM(inst).Invoke("main", 5); err != nil {
-		t.Fatalf("invoke: %v", err)
-	}
+	}, func() []call {
+		out := calls
+		calls = nil
+		return out
+	}, "main", 5)
 
 	byHook := map[string][]call{}
 	for _, c := range calls {

@@ -33,9 +33,13 @@ type engine struct {
 }
 
 func newEngine(mod *wasm.Module) (*engine, error) {
+	ir, err := exec.IRFor(mod)
+	if err != nil {
+		return nil, err
+	}
 	e := &engine{
 		mod:   mod,
-		ir:    exec.IRFor(mod),
+		ir:    ir,
 		nImp:  mod.NumImportedFuncs(),
 		nFunc: mod.NumFuncs(),
 		apply: -1,

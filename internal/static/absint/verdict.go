@@ -409,9 +409,6 @@ func analyzeSingleInvocation(mod *wasm.Module, actions []eos.Name) *Report {
 		rp.Complete = true
 		for fi := e.nImp; fi < e.nFunc; fi++ {
 			fv := e.ir.Func(uint32(fi))
-			if !fv.OK() {
-				continue
-			}
 			for pc := 0; pc < fv.Len(); pc++ {
 				in := fv.Instr(pc)
 				if in.Op != exec.IRBrIf && in.Op != exec.IRBrIfZ {

@@ -132,11 +132,11 @@ var errTraceEnd = errors.New("trace exhausted")
 // Run replays tr (from an instrumented execution of mod) symbolically,
 // seeding the action function's inputs per params and the §3.4.2 layout.
 //
-// Run is engine-agnostic by construction: it never selects or touches an
-// exec engine, it only consumes the trace event stream. The instrumentation
-// hooks are host calls, which the decoded-IR engine and its tree-walker
-// fallback dispatch identically, so a trace — and therefore this replay —
-// is byte-identical whichever engine produced it.
+// Run is engine-agnostic by construction: it never touches an exec engine,
+// it only consumes the trace event stream. The instrumentation hooks are
+// host calls, which the decoded-IR engine and the tree-walking reference
+// it is tested against dispatch identically, so a trace — and therefore
+// this replay — is byte-identical whichever of them produced it.
 func Run(mod *wasm.Module, tr *trace.Trace, params []Param, opts Options) (*Result, error) {
 	ctx := symbolic.NewCtx()
 	r := &replayer{

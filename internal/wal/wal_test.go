@@ -251,6 +251,43 @@ func TestSyncDisabled(t *testing.T) {
 	}
 }
 
+// TestExplicitSync: Sync fsyncs under a disabled policy and clears the
+// pending count, so Close has nothing left to sync; a Sync after Close
+// fails, and the failure sticks in Err.
+func TestExplicitSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "test.wal")
+	l, err := Create(path, Options{SyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, "a", "b")
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if got := l.Stats().Syncs; got != 2 {
+		t.Errorf("syncs after explicit Sync = %d, want 2 (header + Sync)", got)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Stats().Syncs; got != 2 {
+		t.Errorf("syncs after Close = %d, want 2 (nothing pending)", got)
+	}
+	if l.Err() != nil {
+		t.Fatalf("Err before any failure = %v", l.Err())
+	}
+	syncErr := l.Sync()
+	if syncErr == nil {
+		t.Fatal("Sync after Close succeeded")
+	}
+	if l.Err() == nil || l.Err().Error() != syncErr.Error() {
+		t.Fatalf("Err() = %v, want the sticky %v", l.Err(), syncErr)
+	}
+	if err := l.Append([]byte("c")); err == nil || err.Error() != syncErr.Error() {
+		t.Fatalf("Append after sticky failure = %v, want %v", err, syncErr)
+	}
+}
+
 // TestRotate: rotation bumps the generation, keeps exactly the requested
 // records, swaps meta, and survives a reopen.
 func TestRotate(t *testing.T) {

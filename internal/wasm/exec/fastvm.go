@@ -20,32 +20,9 @@ import (
 // observer the loop runs bare.
 type FastObserver func(funcIndex uint32, pc int, cost int)
 
-// NewFastVM returns a VM over inst that executes through prog, the
-// decoded-IR program compiled from inst's module. Function bodies the
-// conservative IR compiler rejects fall back to the reference tree-walker
-// transparently, so observable behaviour is identical to NewVM in every
-// case; a nil prog runs everything on the tree-walker.
-func NewFastVM(inst *Instance, prog *Program) *VM {
-	vm := NewVM(inst)
-	vm.prog = prog
-	return vm
-}
-
-// Fast reports whether this VM dispatches through the decoded-IR engine.
-func (vm *VM) Fast() bool { return vm.prog != nil }
-
 // SetFastObserver installs (or, with nil, removes) the per-instruction
 // tracing hook of the fast engine.
 func (vm *VM) SetFastObserver(obs FastObserver) { vm.fastObs = obs }
-
-// fastCompiled returns the compiled body for f, or nil when f must run on
-// the reference interpreter.
-func (vm *VM) fastCompiled(f *funcDef) *irFunc {
-	if vm.prog == nil || int(f.index) >= len(vm.prog.funcs) {
-		return nil
-	}
-	return vm.prog.funcs[f.index]
-}
 
 func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64, err error) {
 	locals := make([]uint64, fn.nLocals)
@@ -55,8 +32,8 @@ func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64,
 
 	defer func() {
 		if r := recover(); r != nil {
-			// Mirrors the reference interpreter: residual malformed-body
-			// panics become host-error traps instead of crashing.
+			// A panicking host function becomes a host-error trap instead
+			// of crashing the process, as in the reference interpreter.
 			wrapped := fmt.Errorf("interpreter panic: %v", r)
 			if e, ok := r.(error); ok {
 				wrapped = fmt.Errorf("interpreter panic: %w", e)

@@ -50,8 +50,8 @@ func fuzzResolver(m *wasm.Module, log *[]hostCall) Resolver {
 const fuzzFuel = 1 << 20
 
 // fuzzRun invokes every zero-parameter exported function of m in export
-// order on one engine and returns the aggregate observable behaviour.
-func fuzzRun(m *wasm.Module, fast bool) (outcomes []semOutcome, calls []hostCall, ok bool) {
+// order on one program and returns the aggregate observable behaviour.
+func fuzzRun(m *wasm.Module, prog *Program) (outcomes []semOutcome, calls []hostCall, ok bool) {
 	inst, err := Instantiate(m, fuzzResolver(m, &calls))
 	if err != nil {
 		return nil, nil, false
@@ -63,12 +63,7 @@ func fuzzRun(m *wasm.Module, fast bool) (outcomes []semOutcome, calls []hostCall
 		if len(inst.funcs[exp.Index].typ.Params) != 0 {
 			continue
 		}
-		var vm *VM
-		if fast {
-			vm = NewFastVM(inst, Compile(inst.module))
-		} else {
-			vm = NewVM(inst)
-		}
+		vm := NewVM(inst, prog)
 		vm.SetFuel(fuzzFuel)
 		res, err := vm.InvokeIndex(exp.Index)
 		o := semOutcome{result: res, memHash: memHash(inst.mem)}
@@ -90,7 +85,10 @@ func fuzzRun(m *wasm.Module, fast bool) (outcomes []semOutcome, calls []hostCall
 // requires identical traps, results, final memory hashes, host-call
 // sequences, and (on success) fuel. Seeds come from the semantics
 // generator, so mutations explore the neighbourhood of valid,
-// behaviour-rich programs rather than mostly failing to decode.
+// behaviour-rich programs rather than mostly failing to decode. A module
+// Compile rejects is skipped — the chain refuses to deploy it — once the
+// rejection has come back as an error: Compile has no recover, so a
+// compiler panic fails the target.
 func FuzzFastVM(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		if bin, err := wasm.Encode(contractgen.GenerateSemantics(seed).Module); err == nil {
@@ -105,11 +103,19 @@ func FuzzFastVM(f *testing.F) {
 		if err := wasm.Validate(m); err != nil {
 			return
 		}
-		ref, refCalls, ok := fuzzRun(m, false)
+		compiled, err := Compile(m)
+		if err != nil {
+			return
+		}
+		reference, err := Reference(m)
+		if err != nil {
+			t.Fatalf("Reference rejected a module Compile accepted: %v", err)
+		}
+		ref, refCalls, ok := fuzzRun(m, reference)
 		if !ok {
 			return
 		}
-		fast, fastCalls, _ := fuzzRun(m, true)
+		fast, fastCalls, _ := fuzzRun(m, compiled)
 		if len(ref) != len(fast) {
 			t.Fatalf("invocation count divergence: %d vs %d", len(ref), len(fast))
 		}

@@ -8,85 +8,16 @@ import (
 	"repro/internal/wasm"
 )
 
-// diffOutcome captures everything observable about one invocation, for
-// fast-vs-reference comparison.
-type diffOutcome struct {
-	results []uint64
-	trap    TrapKind // 0 when the call succeeded
-	fuel    int64    // fuel consumed (meaningful only on success)
-	memHash uint64
-	globals []uint64
-}
-
 func memHash(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
 	return h.Sum64()
 }
 
-// runEngine instantiates m fresh and invokes "f" on one engine.
-func runEngine(t *testing.T, m *wasm.Module, fast bool, fuel int64, args ...uint64) diffOutcome {
-	t.Helper()
-	inst, err := Instantiate(m, nil)
-	if err != nil {
-		t.Fatalf("Instantiate: %v", err)
-	}
-	var vm *VM
-	if fast {
-		vm = NewFastVM(inst, Compile(inst.module))
-	} else {
-		vm = NewVM(inst)
-	}
-	vm.SetFuel(fuel)
-	res, err := vm.Invoke("f", args...)
-	out := diffOutcome{results: res, memHash: memHash(inst.mem), globals: append([]uint64(nil), inst.globals...)}
-	if err != nil {
-		tr, ok := AsTrap(err)
-		if !ok {
-			t.Fatalf("non-trap error: %v", err)
-		}
-		out.trap = tr.Kind
-		return out
-	}
-	out.fuel = fuel - vm.Fuel()
-	return out
-}
-
-// runBoth runs "f" on both engines and fails the test on any observable
-// divergence: results, trap kind, fuel consumed (successful runs), final
-// memory, and final globals.
-func runBoth(t *testing.T, m *wasm.Module, args ...uint64) diffOutcome {
-	t.Helper()
-	ref := runEngine(t, m, false, DefaultFuel, args...)
-	fast := runEngine(t, m, true, DefaultFuel, args...)
-	if ref.trap != fast.trap {
-		t.Fatalf("trap divergence: reference %v, fast %v", ref.trap, fast.trap)
-	}
-	if len(ref.results) != len(fast.results) {
-		t.Fatalf("result count divergence: reference %v, fast %v", ref.results, fast.results)
-	}
-	for i := range ref.results {
-		if ref.results[i] != fast.results[i] {
-			t.Fatalf("result %d divergence: reference %#x, fast %#x", i, ref.results[i], fast.results[i])
-		}
-	}
-	if ref.trap == 0 && ref.fuel != fast.fuel {
-		t.Fatalf("fuel divergence: reference %d, fast %d", ref.fuel, fast.fuel)
-	}
-	if ref.memHash != fast.memHash {
-		t.Fatalf("memory divergence")
-	}
-	for i := range ref.globals {
-		if ref.globals[i] != fast.globals[i] {
-			t.Fatalf("global %d divergence: %#x vs %#x", i, ref.globals[i], fast.globals[i])
-		}
-	}
-	return ref
-}
-
 // TestSpecCorners is the table-driven corner-semantics suite: every entry
-// is asserted against the reference interpreter and the fast engine from
-// the same table, and the two engines are compared against each other.
+// is asserted against the compiled engine and the reference interpreter
+// from the same table, and the two engines are compared against each
+// other.
 func TestSpecCorners(t *testing.T) {
 	i32 := []wasm.ValType{wasm.I32}
 	i64 := []wasm.ValType{wasm.I64}
@@ -194,13 +125,13 @@ func TestSpecCorners(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			m := buildModule(t, nil, tt.results, nil, tt.body)
-			out := runBoth(t, m)
-			if out.trap != tt.trap {
-				t.Fatalf("trap = %v, want %v", out.trap, tt.trap)
+			res, err := newTwin(t, m, nil).invoke("f")
+			if k := trapKind(err); k != tt.trap {
+				t.Fatalf("trap = %v (%v), want %v", k, err, tt.trap)
 			}
 			if tt.trap == 0 {
-				if len(out.results) != 1 || out.results[0] != tt.want {
-					t.Fatalf("results = %#x, want %#x", out.results, tt.want)
+				if len(res) != 1 || res[0] != tt.want {
+					t.Fatalf("results = %#x, want %#x", res, tt.want)
 				}
 			}
 		})
@@ -235,16 +166,16 @@ func TestMemoryGrowCorners(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			m := buildModule(t, nil, i32, nil, tt.body)
 			m.Memories = []wasm.MemType{{Limits: wasm.Limits{Min: 1, Max: tt.max, HasMax: tt.max != 0}}}
-			out := runBoth(t, m)
-			if out.trap != 0 || len(out.results) != 1 || out.results[0] != tt.want {
-				t.Fatalf("trap=%v results=%#x, want %#x", out.trap, out.results, tt.want)
+			res, err := newTwin(t, m, nil).invoke("f")
+			if err != nil || len(res) != 1 || res[0] != tt.want {
+				t.Fatalf("err=%v results=%#x, want %#x", err, res, tt.want)
 			}
 		})
 	}
 }
 
-// TestIRCompilesCommonShapes guards against the fast engine silently
-// falling back to the tree-walker for ordinary well-typed bodies.
+// TestIRCompilesCommonShapes guards against the compiler rejecting
+// ordinary well-typed bodies, which the chain would then refuse to deploy.
 func TestIRCompilesCommonShapes(t *testing.T) {
 	i32 := []wasm.ValType{wasm.I32}
 	bodies := map[string][]wasm.Instr{
@@ -259,11 +190,10 @@ func TestIRCompilesCommonShapes(t *testing.T) {
 	for name, body := range bodies {
 		t.Run(name, func(t *testing.T) {
 			m := buildModule(t, nil, i32, nil, body)
-			p := Compile(m)
-			if p.funcs[0] == nil {
-				t.Fatalf("body %q was rejected by the IR compiler", name)
+			if _, err := Compile(m); err != nil {
+				t.Fatalf("body %q was rejected by the IR compiler: %v", name, err)
 			}
-			runBoth(t, m)
+			newTwin(t, m, nil).invoke("f")
 		})
 	}
 }
@@ -278,11 +208,11 @@ func TestIRFusion(t *testing.T) {
 		wasm.I32Const(0), wasm.I32Const(0x7777), wasm.Store(wasm.OpI32Store16, 0), // const+store
 		wasm.I32Const(0), wasm.Load(wasm.OpI32Load16U, 0), wasm.Op0(wasm.OpI32Add),
 	})
-	p := Compile(m)
-	fn := p.funcs[0]
-	if fn == nil {
-		t.Fatal("fusion body rejected")
+	p, err := Compile(m)
+	if err != nil {
+		t.Fatalf("fusion body rejected: %v", err)
 	}
+	fn := p.funcs[0]
 	found := map[irOp]bool{}
 	for _, in := range fn.code {
 		found[in.op] = true
@@ -292,9 +222,9 @@ func TestIRFusion(t *testing.T) {
 			t.Fatalf("superinstruction %d not emitted; ops: %v", want, fn.code)
 		}
 	}
-	out := runBoth(t, m, 40, 2)
-	if want := uint64(40 + 2 + 5 + 0x7777); out.results[0] != want {
-		t.Fatalf("fused result %#x, want %#x", out.results[0], want)
+	res, err := newTwin(t, m, nil).invoke("f", 40, 2)
+	if want := uint64(40 + 2 + 5 + 0x7777); err != nil || res[0] != want {
+		t.Fatalf("fused result %#x (%v), want %#x", res, err, want)
 	}
 }
 
@@ -322,31 +252,14 @@ func TestFastFuelParity(t *testing.T) {
 	if err := wasm.Validate(m); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	out := runBoth(t, m, 50)
+	res, err := newTwin(t, m, nil).invoke("f", 50)
 	want := uint64(0)
 	for i := uint64(0); i < 50; i++ {
 		want += i * 3
 	}
-	if out.results[0] != uint64(uint32(want)) {
-		t.Fatalf("result %d, want %d", out.results[0], want)
+	if err != nil || res[0] != uint64(uint32(want)) {
+		t.Fatalf("result %d (%v), want %d", res, err, want)
 	}
-}
-
-// TestFastFallbackIllTyped: bodies the static pass rejects still execute
-// (on the tree-walker) with identical observable behaviour.
-func TestFastFallbackIllTyped(t *testing.T) {
-	i32 := []wasm.ValType{wasm.I32}
-	// if-with-result-without-else pushes nothing on the false path in the
-	// reference engine; the IR compiler must reject it and fall back.
-	body := []wasm.Instr{
-		wasm.I32Const(1),
-		wasm.I32Const(0), wasm.IfTyped(wasm.I32), wasm.I32Const(2), wasm.End(),
-	}
-	m := buildModule(t, nil, i32, nil, body)
-	if fn := Compile(m).funcs[0]; fn != nil {
-		t.Fatal("ill-typed body unexpectedly compiled")
-	}
-	runBoth(t, m)
 }
 
 // TestFastObserver checks the tracing variant sees every charged unit of
@@ -360,7 +273,8 @@ func TestFastObserver(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}
-	vm := NewFastVM(inst, Compile(inst.module))
+	prog, _ := programs(t, m)
+	vm := NewVM(inst, prog)
 	var traced int
 	vm.SetFastObserver(func(fi uint32, pc, cost int) { traced += cost })
 	start := vm.Fuel()

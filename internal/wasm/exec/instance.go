@@ -21,13 +21,11 @@ type HostModule map[string]HostFunc
 // Resolver maps import module names to host modules.
 type Resolver map[string]HostModule
 
-// funcDef is a resolved entry of the function index space.
+// funcDef is a resolved entry of the function index space: what dispatch
+// needs, nothing more. Names and bodies stay on the module.
 type funcDef struct {
 	typ   wasm.FuncType
-	host  HostFunc   // non-nil for imported functions
-	code  *wasm.Code // non-nil for local functions
-	meta  wasm.ControlMeta
-	name  string // debug name: "module.name" for imports, name-section otherwise
+	host  HostFunc // non-nil for imported functions
 	index uint32
 }
 
@@ -68,7 +66,6 @@ func Instantiate(m *wasm.Module, r Resolver) (*Instance, error) {
 			inst.funcs = append(inst.funcs, funcDef{
 				typ:   m.Types[imp.TypeIndex],
 				host:  fn,
-				name:  imp.Module + "." + imp.Name,
 				index: uint32(len(inst.funcs)),
 			})
 		case wasm.ExternalGlobal:
@@ -89,19 +86,7 @@ func Instantiate(m *wasm.Module, r Resolver) (*Instance, error) {
 		if int(ti) >= len(m.Types) {
 			return nil, fmt.Errorf("exec: func %d type index out of range", i)
 		}
-		code := &m.Code[i]
-		meta, err := wasm.AnalyzeControl(code.Body)
-		if err != nil {
-			return nil, fmt.Errorf("exec: func %d: %w", imported+i, err)
-		}
-		idx := uint32(imported + i)
-		inst.funcs = append(inst.funcs, funcDef{
-			typ:   m.Types[ti],
-			code:  code,
-			meta:  meta,
-			name:  m.FuncNames[idx],
-			index: idx,
-		})
+		inst.funcs = append(inst.funcs, funcDef{typ: m.Types[ti], index: uint32(imported + i)})
 	}
 
 	for _, t := range m.Tables {
@@ -234,10 +219,23 @@ func (inst *Instance) GlobalValue(idx uint32) (uint64, bool) {
 
 // FuncName returns a printable name for the function index.
 func (inst *Instance) FuncName(idx uint32) string {
-	if int(idx) < len(inst.funcs) && inst.funcs[idx].name != "" {
-		return inst.funcs[idx].name
+	if name := inst.name(idx); name != "" {
+		return name
 	}
 	return fmt.Sprintf("func[%d]", idx)
+}
+
+// name is the debug name of function idx — "module.name" for an import,
+// its name-section entry otherwise — or "" when it has none. It is
+// derived from the module on demand: only error messages read it.
+func (inst *Instance) name(idx uint32) string {
+	if int(idx) >= len(inst.funcs) {
+		return ""
+	}
+	if imp, ok := inst.module.ImportedFunc(int(idx)); ok {
+		return imp.Module + "." + imp.Name
+	}
+	return inst.module.FuncNames[idx]
 }
 
 // grow implements memory.grow, returning the previous size in pages or -1.

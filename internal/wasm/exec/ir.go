@@ -6,18 +6,20 @@ import (
 	"repro/internal/wasm"
 )
 
-// This file implements the decode pass of the fast execution core: a
+// This file implements the decode pass of the execution engine: a
 // one-time lowering of function bodies into a flat, pre-resolved
 // instruction stream (irInstr). Immediates are decoded, branch targets and
 // unwind depths are pre-computed, common instruction pairs are fused into
 // superinstructions, and the EndOf/ElseOf map lookups of the tree-walker
 // are gone. The dispatch loop lives in fastvm.go.
 //
-// Compilation is conservative: any body the static pre-pass cannot prove
-// stack-consistent (the reference interpreter would reach its panic-to-trap
-// path) is rejected, and that function transparently falls back to the
-// reference tree-walker at call time. Observable behaviour is therefore
-// always exactly the reference interpreter's.
+// Compilation is total: it either lowers every body of a module or
+// rejects the module. A rejected body is ill-typed or over-bound — one
+// the static pass cannot prove stack-consistent, on which the reference
+// tree-walker (reference.go) would reach its panic-to-trap path — and the
+// chain refuses to deploy it, as Nodeos validates contract Wasm at
+// setcode. Every body that runs therefore runs compiled, with exactly the
+// reference interpreter's observable behaviour.
 
 // irOp enumerates the decoded instruction forms.
 type irOp uint8
@@ -128,22 +130,26 @@ type irFunc struct {
 }
 
 // Program is the decoded form of one module: per-function compiled
-// bodies (nil entries fall back to the tree-walker) and the canonical
-// type id of every function in the index space, so call_indirect type
-// checks are a single integer comparison. A Program is immutable once
-// compiled; its owner (the chain account the module is deployed on) hands
-// it to every VM that executes the module, so each deployment pays for
-// compilation once and the program lives exactly as long as the module.
+// bodies (nil for imports) and the canonical type id of every function in
+// the index space, so call_indirect type checks are a single integer
+// comparison. A Program is immutable once compiled; its owner (the chain
+// account the module is deployed on) hands it to every VM that executes
+// the module, so each deployment pays for compilation once and the
+// program lives exactly as long as the module.
 type Program struct {
 	funcs     []*irFunc // indexed by function-space index
 	funcCanon []uint32  // canonical type id per function-space index
 	typeCanon []uint32  // canonical type id per module type index
+
+	// meta is set only on a Reference program, which runs every local
+	// function on the tree-walker with this control metadata.
+	meta []wasm.ControlMeta
 }
 
-// Compile lowers every local function body of m, recording nil for any
-// body the conservative static pass rejects. Compilation is a pure
-// function of the immutable module; nothing is cached.
-func Compile(m *wasm.Module) *Program {
+// Compile lowers every local function body of m, or reports the first
+// body it rejects. Compilation is a pure function of the immutable
+// module; nothing is cached.
+func Compile(m *wasm.Module) (*Program, error) {
 	p := &Program{
 		funcs:     make([]*irFunc, m.NumFuncs()),
 		funcCanon: make([]uint32, m.NumFuncs()),
@@ -165,30 +171,33 @@ func Compile(m *wasm.Module) *Program {
 		if imp.Kind != wasm.ExternalFunc {
 			continue
 		}
-		if int(imp.TypeIndex) < len(p.typeCanon) {
-			p.funcCanon[imported] = p.typeCanon[imp.TypeIndex]
+		if int(imp.TypeIndex) >= len(p.typeCanon) {
+			return nil, fmt.Errorf("exec: import %q.%q: type index %d out of range", imp.Module, imp.Name, imp.TypeIndex)
 		}
+		p.funcCanon[imported] = p.typeCanon[imp.TypeIndex]
 		imported++
+	}
+	if len(m.Code) != len(m.Funcs) {
+		return nil, fmt.Errorf("exec: %d function bodies for %d functions", len(m.Code), len(m.Funcs))
 	}
 	for i, ti := range m.Funcs {
 		fi := imported + i
-		if fi >= len(p.funcCanon) || int(ti) >= len(p.typeCanon) {
-			continue
+		if int(ti) >= len(p.typeCanon) {
+			return nil, fmt.Errorf("exec: func %d: type index %d out of range", fi, ti)
 		}
 		p.funcCanon[fi] = p.typeCanon[ti]
-		ft := m.Types[ti]
-		fn, err := compileFunc(m, &m.Code[i], ft)
+		fn, err := compileFunc(m, &m.Code[i], m.Types[ti])
 		if err != nil {
-			continue // fall back to the tree-walker for this function
+			return nil, fmt.Errorf("exec: func %d: %w", fi, err)
 		}
 		p.funcs[fi] = fn
 	}
-	return p
+	return p, nil
 }
 
 // maxIRStack bounds the pre-allocated operand stack of a compiled body;
 // larger bodies (which cannot come out of the generators or real EOSIO
-// contracts) fall back to the tree-walker rather than over-allocating.
+// contracts) are rejected rather than over-allocating.
 const maxIRStack = 1 << 16
 
 // cFrame is one compile-time control frame.
@@ -241,7 +250,8 @@ func (c *compiler) emit(in irInstr) {
 func (c *compiler) setBarrier() { c.barrier = len(c.out) }
 
 // need checks the operand stack holds at least n values; the reference
-// interpreter would panic (→ host-error trap) otherwise, so we reject.
+// interpreter would panic (→ host-error trap) otherwise, so the body is
+// rejected.
 func (c *compiler) need(n int) error {
 	if c.height < n {
 		return fmt.Errorf("stack underflow: need %d, have %d", n, c.height)
@@ -257,14 +267,10 @@ func (c *compiler) adjust(pops, pushes int) {
 }
 
 // compileFunc lowers one body. Any structural or stack inconsistency the
-// reference interpreter would surface as a runtime panic-trap makes the
-// whole function fall back instead.
-func compileFunc(m *wasm.Module, code *wasm.Code, ft wasm.FuncType) (fn *irFunc, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			fn, err = nil, fmt.Errorf("ir: compile panic: %v", r)
-		}
-	}()
+// reference interpreter would surface as a runtime panic-trap rejects it.
+// It never panics on a decoded body: FuzzFastVM and the deploy-rejection
+// corpus feed it malformed ones.
+func compileFunc(m *wasm.Module, code *wasm.Code, ft wasm.FuncType) (*irFunc, error) {
 	if len(ft.Results) > 255 {
 		return nil, fmt.Errorf("ir: too many results")
 	}
@@ -510,7 +516,7 @@ func (c *compiler) nResultsByte() uint8 {
 func (c *compiler) branch(op irOp, d int) error {
 	if d >= len(c.frames) {
 		// The reference interpreter panics (→ host-error trap) on a branch
-		// past the outermost frame; reject so the fallback reproduces it.
+		// past the outermost frame.
 		return fmt.Errorf("branch depth %d exceeds nesting %d", d, len(c.frames))
 	}
 	fr := &c.frames[len(c.frames)-1-d]

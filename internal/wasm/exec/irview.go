@@ -4,7 +4,7 @@ import "repro/internal/wasm"
 
 // irview.go is the read-only window other packages get onto the decoded IR.
 // The abstract interpreter (internal/static/absint) analyzes the exact
-// instruction stream the fast engine executes — same lowering, same fusion,
+// instruction stream the engine executes — same lowering, same fusion,
 // same pre-resolved branch targets — instead of re-deriving its own IR and
 // risking a semantic gap between what is proven and what runs. Everything
 // here is an immutable view of a Program.
@@ -99,12 +99,12 @@ type IRTarget struct {
 }
 
 // IRFuncView is a read-only view of one compiled body. The zero view
-// (OK() == false) marks a function that fell back to the tree-walker.
+// (OK() == false) marks an import or an index outside the module.
 type IRFuncView struct {
 	fn *irFunc
 }
 
-// OK reports whether the function compiled (fallback bodies have no IR).
+// OK reports whether the view has a body (imports have none).
 func (v IRFuncView) OK() bool { return v.fn != nil }
 
 // Len returns the number of decoded instructions.
@@ -148,14 +148,19 @@ type IRView struct {
 }
 
 // IRFor compiles m and returns the view of its decoded IR — the same
-// lowering the fast engine executes. Nothing is cached: callers that
-// analyze a module repeatedly cache their own results (internal/memo).
-func IRFor(m *wasm.Module) *IRView {
-	return &IRView{p: Compile(m)}
+// lowering the engine executes — or Compile's error for a module the chain
+// would refuse to deploy. Nothing is cached: callers that analyze a module
+// repeatedly cache their own results (internal/memo).
+func IRFor(m *wasm.Module) (*IRView, error) {
+	p, err := Compile(m)
+	if err != nil {
+		return nil, err
+	}
+	return &IRView{p: p}, nil
 }
 
 // Func returns the view of the function at index idx in the function index
-// space; the zero view for imports and fallback bodies.
+// space; the zero view for imports and out-of-range indices.
 func (v *IRView) Func(idx uint32) IRFuncView {
 	if int(idx) >= len(v.p.funcs) {
 		return IRFuncView{}

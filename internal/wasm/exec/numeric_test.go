@@ -9,7 +9,7 @@ import (
 	"repro/internal/wasm"
 )
 
-// runOp executes a single binary i64 opcode through the interpreter.
+// runOp executes a single opcode over the arguments on both engines.
 func runOp(t *testing.T, op wasm.Opcode, params []wasm.ValType, results []wasm.ValType, args ...uint64) (uint64, error) {
 	t.Helper()
 	var body []wasm.Instr
@@ -42,15 +42,11 @@ func TestI64OpsMatchGo(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	for _, tc := range cases {
-		m := buildModule(t, i64, r64, nil,
-			[]wasm.Instr{wasm.LocalGet(0), wasm.LocalGet(1), wasm.Op0(tc.op)})
-		inst, err := Instantiate(m, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tw := newTwin(t, buildModule(t, i64, r64, nil,
+			[]wasm.Instr{wasm.LocalGet(0), wasm.LocalGet(1), wasm.Op0(tc.op)}), nil)
 		for i := 0; i < 500; i++ {
 			a, b := rng.Uint64(), rng.Uint64()
-			res, err := NewVM(inst).Invoke("f", a, b)
+			res, err := tw.invoke("f", a, b)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.op.Name(), err)
 			}
@@ -64,15 +60,11 @@ func TestI64OpsMatchGo(t *testing.T) {
 // TestI32OpsQuick property-checks i32 semantics with zero-extension into
 // the 64-bit value representation.
 func TestI32OpsQuick(t *testing.T) {
-	m := buildModule(t,
+	tw := newTwin(t, buildModule(t,
 		[]wasm.ValType{wasm.I32, wasm.I32}, []wasm.ValType{wasm.I32}, nil,
-		[]wasm.Instr{wasm.LocalGet(0), wasm.LocalGet(1), wasm.Op0(wasm.OpI32Mul)})
-	inst, err := Instantiate(m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+		[]wasm.Instr{wasm.LocalGet(0), wasm.LocalGet(1), wasm.Op0(wasm.OpI32Mul)}), nil)
 	f := func(a, b uint32) bool {
-		res, err := NewVM(inst).Invoke("f", uint64(a), uint64(b))
+		res, err := tw.invoke("f", uint64(a), uint64(b))
 		return err == nil && res[0] == uint64(a*b)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -172,20 +164,17 @@ func TestGlobalMutation(t *testing.T) {
 		wasm.End(),
 	}}}
 	m.Exports = []wasm.Export{{Name: "f", Kind: wasm.ExternalFunc, Index: 0}}
-	inst, err := Instantiate(m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := NewVM(inst).Invoke("f")
+	tw := newTwin(t, m, nil)
+	res, err := tw.invoke("f")
 	if err != nil || res[0] != 15 {
 		t.Fatalf("global add: %v %v", res, err)
 	}
 	// Globals persist within the instance.
-	res, _ = NewVM(inst).Invoke("f")
+	res, _ = tw.invoke("f")
 	if res[0] != 25 {
 		t.Errorf("second call = %d, want 25", res[0])
 	}
-	if v, ok := inst.GlobalValue(0); !ok || v != 25 {
+	if v, ok := tw.insts[0].GlobalValue(0); !ok || v != 25 {
 		t.Errorf("GlobalValue = %d %v", v, ok)
 	}
 }
@@ -211,17 +200,14 @@ func TestDataSegmentOutOfBoundsRejected(t *testing.T) {
 func TestInvokeErrors(t *testing.T) {
 	m := buildModule(t, []wasm.ValType{wasm.I64}, []wasm.ValType{wasm.I64}, nil,
 		[]wasm.Instr{wasm.LocalGet(0)})
-	inst, err := Instantiate(m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewVM(inst).Invoke("nosuch"); err == nil {
+	tw := newTwin(t, m, nil)
+	if _, err := tw.invoke("nosuch"); err == nil {
 		t.Error("unknown export accepted")
 	}
-	if _, err := NewVM(inst).Invoke("f"); err == nil {
+	if _, err := tw.invoke("f"); err == nil {
 		t.Error("wrong arity accepted")
 	}
-	if _, err := NewVM(inst).InvokeIndex(99); err == nil {
+	if _, err := tw.run(func(vm *VM) ([]uint64, error) { return vm.InvokeIndex(99) }); err == nil {
 		t.Error("out-of-range index accepted")
 	}
 }

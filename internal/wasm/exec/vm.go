@@ -19,9 +19,8 @@ type VM struct {
 	fuel  int64
 	depth int
 
-	// prog, when non-nil, selects the decoded-IR fast engine (fastvm.go);
-	// functions its conservative compiler rejected stay nil in prog.funcs
-	// and run on the tree-walker below.
+	// prog is the program inst's module was compiled to: every local
+	// function runs its compiled body (fastvm.go).
 	prog    *Program
 	fastObs FastObserver
 
@@ -30,10 +29,11 @@ type VM struct {
 	Context any
 }
 
-// NewVM returns a VM over inst with the default fuel budget that runs
-// every function on the reference tree-walker — the oracle the decoded-IR
-// engine (NewFastVM) is tested against.
-func NewVM(inst *Instance) *VM { return &VM{inst: inst, fuel: DefaultFuel} }
+// NewVM returns a VM over inst with the default fuel budget that executes
+// through prog, the program Compile built from inst's module.
+func NewVM(inst *Instance, prog *Program) *VM {
+	return &VM{inst: inst, prog: prog, fuel: DefaultFuel}
+}
 
 // SetFuel replaces the remaining instruction budget.
 func (vm *VM) SetFuel(fuel int64) { vm.fuel = fuel }
@@ -81,248 +81,10 @@ func (vm *VM) call(f *funcDef, args []uint64) ([]uint64, error) {
 		}
 		return res, nil
 	}
-	if fn := vm.fastCompiled(f); fn != nil {
-		return vm.fastExec(f, fn, args)
+	if vm.prog.meta != nil {
+		return vm.exec(f, &vm.prog.meta[f.index], args) // a Reference program: the test oracle
 	}
-	return vm.exec(f, args)
-}
-
-// ctrlFrame is one entry of the structured-control stack.
-type ctrlFrame struct {
-	startPC   int
-	endPC     int
-	stackH    int
-	isLoop    bool
-	hasResult bool
-}
-
-func (vm *VM) exec(f *funcDef, args []uint64) (results []uint64, err error) {
-	locals := make([]uint64, len(f.typ.Params)+int(f.code.NumLocals()))
-	copy(locals, args)
-
-	var (
-		stack []uint64
-		ctrl  []ctrlFrame
-	)
-	push := func(v uint64) { stack = append(stack, v) }
-	pop := func() uint64 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return v
-	}
-	trap := func(kind TrapKind, pc int) error {
-		return &Trap{Kind: kind, FuncIndex: f.index, PC: pc}
-	}
-
-	body := f.code.Body
-	mem := func() []byte { return vm.inst.mem }
-
-	// branchTo unwinds to the frame at relative depth d per Wasm label
-	// semantics and returns the next pc.
-	branchTo := func(d int) int {
-		target := ctrl[len(ctrl)-1-d]
-		if target.isLoop {
-			// Branch to a loop re-enters at its start; loop labels take no values.
-			stack = stack[:target.stackH]
-			ctrl = ctrl[:len(ctrl)-d] // keep the loop frame itself
-			return target.startPC + 1
-		}
-		var result uint64
-		if target.hasResult {
-			result = stack[len(stack)-1]
-		}
-		stack = stack[:target.stackH]
-		if target.hasResult {
-			stack = append(stack, result)
-		}
-		ctrl = ctrl[:len(ctrl)-1-d]
-		return target.endPC + 1
-	}
-
-	defer func() {
-		if r := recover(); r != nil {
-			// Index/slice panics indicate a malformed (unvalidated) body;
-			// convert to a trap rather than crashing the process. An error
-			// panic value keeps its chain (errors.Is/As through the trap).
-			wrapped := fmt.Errorf("interpreter panic: %v", r)
-			if e, ok := r.(error); ok {
-				wrapped = fmt.Errorf("interpreter panic: %w", e)
-			}
-			results = nil
-			err = &Trap{Kind: TrapHostError, FuncIndex: f.index, Wrapped: wrapped}
-		}
-	}()
-
-	pc := 0
-	for pc < len(body) {
-		if vm.fuel--; vm.fuel < 0 {
-			return nil, trap(TrapFuelExhausted, pc)
-		}
-		in := body[pc]
-		switch in.Op {
-		case wasm.OpUnreachable:
-			return nil, trap(TrapUnreachable, pc)
-		case wasm.OpNop:
-		case wasm.OpBlock:
-			ctrl = append(ctrl, ctrlFrame{
-				startPC: pc, endPC: f.meta.EndOf[pc], stackH: len(stack),
-				hasResult: in.A != wasm.BlockTypeEmpty,
-			})
-		case wasm.OpLoop:
-			ctrl = append(ctrl, ctrlFrame{
-				startPC: pc, endPC: f.meta.EndOf[pc], stackH: len(stack),
-				isLoop: true, hasResult: in.A != wasm.BlockTypeEmpty,
-			})
-		case wasm.OpIf:
-			cond := pop()
-			endPC := f.meta.EndOf[pc]
-			elsePC := f.meta.ElseOf[pc]
-			if cond != 0 {
-				ctrl = append(ctrl, ctrlFrame{startPC: pc, endPC: endPC, stackH: len(stack), hasResult: in.A != wasm.BlockTypeEmpty})
-			} else if elsePC != endPC {
-				ctrl = append(ctrl, ctrlFrame{startPC: pc, endPC: endPC, stackH: len(stack), hasResult: in.A != wasm.BlockTypeEmpty})
-				pc = elsePC + 1
-				continue
-			} else {
-				pc = endPC + 1
-				continue
-			}
-		case wasm.OpElse:
-			// Reached only by falling through the then-arm: skip to end.
-			top := ctrl[len(ctrl)-1]
-			pc = top.endPC // the end opcode pops the frame
-			continue
-		case wasm.OpEnd:
-			if len(ctrl) > 0 {
-				ctrl = ctrl[:len(ctrl)-1]
-			}
-		case wasm.OpBr:
-			pc = branchTo(int(in.A))
-			continue
-		case wasm.OpBrIf:
-			if pop() != 0 {
-				pc = branchTo(int(in.A))
-				continue
-			}
-		case wasm.OpBrTable:
-			i := uint32(pop())
-			d := in.A
-			if int(i) < len(in.Table) {
-				d = in.Table[i]
-			}
-			pc = branchTo(int(d))
-			continue
-		case wasm.OpReturn:
-			return vm.takeResults(f, stack), nil
-		case wasm.OpCall:
-			callee := &vm.inst.funcs[in.A]
-			res, err := vm.callFrom(callee, &stack)
-			if err != nil {
-				return nil, err
-			}
-			stack = append(stack, res...)
-		case wasm.OpCallIndirect:
-			ti := pop()
-			if int(ti) >= len(vm.inst.table) {
-				return nil, trap(TrapUndefinedElement, pc)
-			}
-			fi := vm.inst.table[ti]
-			if fi < 0 {
-				return nil, trap(TrapUndefinedElement, pc)
-			}
-			callee := &vm.inst.funcs[fi]
-			want := vm.inst.module.Types[in.A]
-			if !callee.typ.Equal(want) {
-				return nil, trap(TrapIndirectCallTypeMismatch, pc)
-			}
-			res, err := vm.callFrom(callee, &stack)
-			if err != nil {
-				return nil, err
-			}
-			stack = append(stack, res...)
-		case wasm.OpDrop:
-			pop()
-		case wasm.OpSelect:
-			c, b, a := pop(), pop(), pop()
-			if c != 0 {
-				push(a)
-			} else {
-				push(b)
-			}
-		case wasm.OpLocalGet:
-			push(locals[in.A])
-		case wasm.OpLocalSet:
-			locals[in.A] = pop()
-		case wasm.OpLocalTee:
-			locals[in.A] = stack[len(stack)-1]
-		case wasm.OpGlobalGet:
-			push(vm.inst.globals[in.A])
-		case wasm.OpGlobalSet:
-			vm.inst.globals[in.A] = pop()
-
-		case wasm.OpI32Const, wasm.OpI64Const, wasm.OpF32Const, wasm.OpF64Const:
-			if in.Op == wasm.OpI32Const {
-				push(uint64(uint32(in.I32())))
-			} else {
-				push(in.Imm)
-			}
-
-		case wasm.OpMemorySize:
-			push(uint64(uint32(len(mem()) / PageSize)))
-		case wasm.OpMemoryGrow:
-			pages := uint32(pop())
-			push(uint64(uint32(vm.inst.grow(pages))))
-
-		default:
-			if in.Op.IsLoad() {
-				addr := uint64(uint32(pop())) + uint64(in.B)
-				n := in.Op.MemBytes()
-				if addr+uint64(n) > uint64(len(mem())) {
-					return nil, trap(TrapMemoryOutOfBounds, pc)
-				}
-				push(loadVal(in.Op, mem()[addr:addr+uint64(n)]))
-			} else if in.Op.IsStore() {
-				val := pop()
-				addr := uint64(uint32(pop())) + uint64(in.B)
-				n := in.Op.MemBytes()
-				if addr+uint64(n) > uint64(len(mem())) {
-					return nil, trap(TrapMemoryOutOfBounds, pc)
-				}
-				storeVal(in.Op, mem()[addr:addr+uint64(n)], val)
-			} else {
-				v, terr := applyNumeric(in.Op, &stack)
-				if terr != 0 {
-					return nil, trap(terr, pc)
-				}
-				_ = v
-			}
-		}
-		pc++
-	}
-	return vm.takeResults(f, stack), nil
-}
-
-// callFrom pops the callee's arguments off the caller's stack and invokes it.
-func (vm *VM) callFrom(callee *funcDef, stack *[]uint64) ([]uint64, error) {
-	n := len(callee.typ.Params)
-	s := *stack
-	if len(s) < n {
-		return nil, &Trap{Kind: TrapHostError, FuncIndex: callee.index, Wrapped: fmt.Errorf("stack underflow calling %s", callee.name)}
-	}
-	args := make([]uint64, n)
-	copy(args, s[len(s)-n:])
-	*stack = s[:len(s)-n]
-	return vm.call(callee, args)
-}
-
-func (vm *VM) takeResults(f *funcDef, stack []uint64) []uint64 {
-	n := len(f.typ.Results)
-	if n == 0 || len(stack) < n {
-		return nil
-	}
-	out := make([]uint64, n)
-	copy(out, stack[len(stack)-n:])
-	return out
+	return vm.fastExec(f, vm.prog.funcs[f.index], args)
 }
 
 func loadVal(op wasm.Opcode, p []byte) uint64 {

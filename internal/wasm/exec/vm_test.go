@@ -23,13 +23,10 @@ func buildModule(t *testing.T, params, results []wasm.ValType, locals []wasm.Loc
 	return m
 }
 
+// run1 invokes "f" on both engines (newTwin) and returns its one result.
 func run1(t *testing.T, m *wasm.Module, args ...uint64) (uint64, error) {
 	t.Helper()
-	inst, err := Instantiate(m, nil)
-	if err != nil {
-		t.Fatalf("Instantiate: %v", err)
-	}
-	res, err := NewVM(inst).Invoke("f", args...)
+	res, err := newTwin(t, m, nil).invoke("f", args...)
 	if err != nil {
 		return 0, err
 	}
@@ -122,11 +119,7 @@ func TestDivideByZeroTraps(t *testing.T) {
 
 func TestUnreachableTraps(t *testing.T) {
 	m := buildModule(t, nil, nil, nil, []wasm.Instr{wasm.Unreachable()})
-	inst, err := Instantiate(m, nil)
-	if err != nil {
-		t.Fatalf("Instantiate: %v", err)
-	}
-	_, err = NewVM(inst).Invoke("f")
+	_, err := newTwin(t, m, nil).invoke("f")
 	if !IsTrap(err, TrapUnreachable) {
 		t.Fatalf("want unreachable trap, got %v", err)
 	}
@@ -246,11 +239,7 @@ func TestHostFunctionCall(t *testing.T) {
 			return []uint64{args[0] * 2}, nil
 		},
 	}}
-	inst, err := Instantiate(m, r)
-	if err != nil {
-		t.Fatalf("Instantiate: %v", err)
-	}
-	res, err := NewVM(inst).Invoke("f", 21)
+	res, err := newTwin(t, m, r).invoke("f", 21)
 	if err != nil {
 		t.Fatalf("Invoke: %v", err)
 	}
@@ -271,11 +260,7 @@ func TestHostErrorBecomesTrap(t *testing.T) {
 	r := Resolver{"env": HostModule{
 		"boom": func(vm *VM, args []uint64) ([]uint64, error) { return nil, sentinel },
 	}}
-	inst, err := Instantiate(m, r)
-	if err != nil {
-		t.Fatalf("Instantiate: %v", err)
-	}
-	_, err = NewVM(inst).Invoke("f")
+	_, err := newTwin(t, m, r).invoke("f")
 	if !IsTrap(err, TrapHostError) || !errors.Is(err, sentinel) {
 		t.Fatalf("want wrapped host error, got %v", err)
 	}
@@ -294,12 +279,9 @@ func TestCallIndirect(t *testing.T) {
 	m.Elems = []wasm.ElemSegment{{Offset: []wasm.Instr{wasm.I32Const(0)}, Funcs: []uint32{0, 1}}}
 	m.Exports = []wasm.Export{{Name: "f", Kind: wasm.ExternalFunc, Index: 2}}
 
-	inst, err := Instantiate(m, nil)
-	if err != nil {
-		t.Fatalf("Instantiate: %v", err)
-	}
+	tw := newTwin(t, m, nil)
 	for i, want := range []uint64{111, 222} {
-		res, err := NewVM(inst).Invoke("f", uint64(i))
+		res, err := tw.invoke("f", uint64(i))
 		if err != nil {
 			t.Fatalf("Invoke(%d): %v", i, err)
 		}
@@ -308,7 +290,7 @@ func TestCallIndirect(t *testing.T) {
 		}
 	}
 	// Out-of-range index traps.
-	_, err = NewVM(inst).Invoke("f", 9)
+	_, err := tw.invoke("f", 9)
 	if !IsTrap(err, TrapUndefinedElement) {
 		t.Fatalf("want undefined-element trap, got %v", err)
 	}
@@ -317,14 +299,9 @@ func TestCallIndirect(t *testing.T) {
 func TestFuelExhaustion(t *testing.T) {
 	// Infinite loop.
 	body := []wasm.Instr{wasm.Loop(), wasm.Br(0), wasm.End()}
-	m := buildModule(t, nil, nil, nil, body)
-	inst, err := Instantiate(m, nil)
-	if err != nil {
-		t.Fatalf("Instantiate: %v", err)
-	}
-	vm := NewVM(inst)
-	vm.SetFuel(10_000)
-	_, err = vm.Invoke("f")
+	tw := newTwin(t, buildModule(t, nil, nil, nil, body), nil)
+	tw.fuel = 10_000
+	_, err := tw.invoke("f")
 	if !IsTrap(err, TrapFuelExhausted) {
 		t.Fatalf("want fuel trap, got %v", err)
 	}
@@ -336,11 +313,7 @@ func TestRecursionDepthLimit(t *testing.T) {
 	m.Funcs = []uint32{ti}
 	m.Code = []wasm.Code{{Body: []wasm.Instr{wasm.Call(0), wasm.End()}}}
 	m.Exports = []wasm.Export{{Name: "f", Kind: wasm.ExternalFunc, Index: 0}}
-	inst, err := Instantiate(m, nil)
-	if err != nil {
-		t.Fatalf("Instantiate: %v", err)
-	}
-	_, err = NewVM(inst).Invoke("f")
+	_, err := newTwin(t, m, nil).invoke("f")
 	if !IsTrap(err, TrapStackExhausted) {
 		t.Fatalf("want stack trap, got %v", err)
 	}

@@ -4,10 +4,9 @@ import "fmt"
 
 // Validate performs structural validation beyond what Decode enforces:
 // all indices in bounds, balanced control structures, and well-formed
-// block/else nesting. It does not perform full stack type checking — the
-// interpreter traps on type confusion at runtime, which is sufficient for
-// the analysis pipeline (and mirrors how the paper's simulator treats
-// already-deployed, chain-validated contracts).
+// block/else nesting. It does not check operand-stack typing: exec.Compile
+// does, at deploy — chain.DeployModule refuses a module with an ill-typed
+// or over-bound body, as Nodeos validates contract Wasm at setcode.
 func Validate(m *Module) error {
 	nf := uint32(m.NumFuncs())
 	ng := uint32(len(m.Globals))
